@@ -1,8 +1,10 @@
-//! # panda-bench — the experiment harness
+//! # panda-bench — paper tables/figures + criterion micro-benches
 //!
 //! One binary per table/figure of the paper (see `src/bin/`), plus the
-//! Criterion micro-benchmarks in `benches/`. This library holds the
-//! shared machinery:
+//! Criterion micro-benchmarks in `benches/`. Wall-clock end-to-end and
+//! per-layer measurement lives in the repository's one benchmark,
+//! `benchmark/` (`bash benchmark/run.sh`), not here. This library holds
+//! the shared machinery:
 //!
 //! * [`args`] — minimal CLI flag parsing (`--scale`, `--ranks`, `--seed`,
 //!   `--csv`, ...);
@@ -19,7 +21,7 @@
 //! **virtual seconds** from the simulated cluster (see `panda-comm`);
 //! they are not expected to match the paper's absolute numbers — the
 //! *shape* (ratios, scaling exponents, breakdown percentages, who wins)
-//! is the reproduction target. `EXPERIMENTS.md` records both.
+//! is the reproduction target.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -67,15 +67,6 @@ pub trait NnBackend {
         0
     }
 
-    /// Number of independent shards serving this backend (`1` for every
-    /// single-node engine). Sizing hint for front-end caches: a sharded
-    /// backend fields proportionally more distinct hot traffic, so
-    /// per-shard capacities scale by this factor (see
-    /// `ServiceConfig::with_cache_capacity` in `panda_service`).
-    fn shard_count(&self) -> usize {
-        1
-    }
-
     /// The backend's `panda_obs` metrics registry, when it keeps one.
     /// Front ends (e.g. `ServiceHandle::telemetry` in `panda_service`)
     /// merge it into their own snapshot so one exposition call covers

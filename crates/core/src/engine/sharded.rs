@@ -46,7 +46,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use panda_comm::{make_endpoints, ClusterConfig, Comm, CommMeter};
 use panda_obs::trace::{self, Stage};
@@ -63,14 +63,8 @@ use crate::heap::Neighbor;
 use crate::local_tree::QueryWorkspace;
 use crate::point::PointSet;
 use crate::query_distributed::{owned_pipeline, Owned, OwnedOutput, RemoteStats};
+use crate::supervise::{panic_message, restart_backoff};
 use crate::timers::QueryBreakdown;
-
-/// First back-off after a worker panic; doubles per consecutive panic up
-/// to [`RESTART_BACKOFF_MAX`] (mirrors the service scheduler's
-/// supervision discipline).
-const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(5);
-/// Ceiling for the restart back-off.
-const RESTART_BACKOFF_MAX: Duration = Duration::from_millis(250);
 
 /// One unit of work shipped to a shard worker. Every round sends one job
 /// to **every** shard — the KNN pipeline is collective, so a shard with
@@ -162,17 +156,6 @@ fn lock_dispatch(index: &ShardedIndex) -> MutexGuard<'_, Dispatch> {
 
 fn shard_gone() -> PandaError {
     PandaError::BackendPanicked("shard worker disconnected".into())
-}
-
-/// Best human-readable rendering of a panic payload.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "worker panicked (non-string payload)".into()
-    }
 }
 
 /// Among the errors of a torn round, prefer a root cause over a symptom:
@@ -600,10 +583,6 @@ impl NnBackend for ShardedIndex {
         self.dims
     }
 
-    fn shard_count(&self) -> usize {
-        self.n_shards
-    }
-
     fn registry(&self) -> Option<Registry> {
         Some(self.registry.clone())
     }
@@ -748,11 +727,7 @@ fn supervise_panic(
     consecutive: &mut u32,
 ) -> PandaError {
     restarts.inc();
-    let backoff = RESTART_BACKOFF_BASE
-        .saturating_mul(1u32 << (*consecutive).min(16))
-        .min(RESTART_BACKOFF_MAX);
-    *consecutive = consecutive.saturating_add(1);
-    std::thread::sleep(backoff);
+    std::thread::sleep(restart_backoff(consecutive));
     PandaError::BackendPanicked(format!(
         "shard {shard} panicked mid-batch: {}",
         panic_message(panic)

@@ -27,8 +27,10 @@
 //!
 //! ## The local query hot path
 //!
-//! Three layers make the single-node path fast (see `BENCH_PR1.json` for
-//! measurements against the pre-optimization reference):
+//! Three layers make the single-node path fast (`bash benchmark/run.sh
+//! --workload batch_cosmo3d --trace 1` prints the kernel, tree and
+//! batch-engine rungs; a differential test in `local_tree/query.rs`
+//! holds it bit-identical to the pre-optimization reference):
 //!
 //! * **Fused scan-and-offer leaf kernel**
 //!   ([`local_tree::PackedLeaves::scan_and_offer`]) — squared distances
@@ -98,6 +100,7 @@ pub mod query_distributed;
 pub mod radius;
 pub mod rng;
 pub mod split;
+pub mod supervise;
 pub mod timers;
 
 pub use config::{

@@ -219,13 +219,13 @@ impl LocalKdTree {
 }
 
 impl LocalKdTree {
-    /// Reference traversal kept for differential testing and benchmarking:
-    /// the pre-optimization implementation with a full `[f32; MAX_DIMS]`
+    /// Reference traversal kept for differential testing: the
+    /// pre-optimization implementation with a full `[f32; MAX_DIMS]`
     /// side-array copy on every stack push and a two-pass leaf scan
     /// (`distances()` into a buffer, then a scalar offer loop). Produces
-    /// results bit-identical to [`Self::query_into`]; the perf harness
-    /// (`bench_pr1`, the kernels bench) measures the fused hot path
-    /// against this.
+    /// results bit-identical to [`Self::query_into`];
+    /// `fused_traversal_matches_reference_traversal` below holds the
+    /// fused hot path to that.
     pub fn query_into_reference(
         &self,
         q: &[f32],

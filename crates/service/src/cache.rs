@@ -20,34 +20,17 @@
 //!
 //! # Invalidation
 //!
-//! Two modes, chosen at construction:
-//!
-//! * **Epoch-guarded** (default): every probe carries the backend's
-//!   current [`data_epoch`](panda_core::engine::NnBackend::data_epoch),
-//!   and an epoch change clears the whole cache before the probe
-//!   (mutable backends advance their epoch on every write). Entries are
-//!   inserted with the epoch sampled **before** their batch executed;
-//!   an insert whose epoch is already stale is dropped rather than
-//!   poisoning the cache with a result that may predate a write. Zero
-//!   staleness, but a steady write trickle keeps the cache permanently
-//!   empty.
-//! * **Per-entry TTL** ([`crate::ServiceConfig::with_cache_ttl`]): each
-//!   entry expires individually, `ttl` after insertion, and epoch moves
-//!   are ignored — a write no longer wipes every memo, it just bounds
-//!   how long the answer computed before it may keep serving. This
-//!   trades *bounded* staleness (at most `ttl`) for a hit rate that
-//!   survives mutable-backend write traffic; capacity-sizing interacts
-//!   with the backend's shard count (see
-//!   [`crate::ServiceConfig::with_cache_capacity`]).
-//!
-//! Capacity is sized by the *service* as `cache_capacity ×
-//! backend.shard_count()`: a sharded backend fields proportionally more
-//! distinct hot keys, so per-shard sizing keeps the configured knob
-//! meaningful from one node to a fleet.
+//! Every probe carries the backend's current
+//! [`data_epoch`](panda_core::engine::NnBackend::data_epoch), and an
+//! epoch change clears the whole cache before the probe (mutable
+//! backends advance their epoch on every write). Entries are inserted
+//! with the epoch sampled **before** their batch executed; an insert
+//! whose epoch is already stale is dropped rather than poisoning the
+//! cache with a result that may predate a write. Zero staleness, but a
+//! steady write trickle keeps the cache permanently empty.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use panda_core::{BoundMode, PointSet};
 
@@ -89,8 +72,6 @@ const NIL: usize = usize::MAX;
 struct Slot {
     key: Arc<CacheKey>,
     reply: TicketReply,
-    /// `Some` only in TTL mode: the instant this entry stops serving.
-    expires_at: Option<Instant>,
     prev: usize,
     next: usize,
 }
@@ -101,11 +82,7 @@ struct Slot {
 /// per-operation allocation beyond the key itself.
 pub(crate) struct ResultCache {
     capacity: usize,
-    /// `Some` switches invalidation from epoch-clearing to per-entry
-    /// expiry (see the module docs).
-    ttl: Option<Duration>,
-    /// Backend data epoch the resident entries were computed against
-    /// (unused in TTL mode).
+    /// Backend data epoch the resident entries were computed against.
     epoch: u64,
     map: HashMap<Arc<CacheKey>, usize>,
     slots: Vec<Option<Slot>>,
@@ -118,13 +95,11 @@ pub(crate) struct ResultCache {
 
 impl ResultCache {
     /// `capacity` must be ≥ 1 (capacity 0 means the service holds no
-    /// cache at all). `ttl: Some(d)` selects per-entry expiry instead
-    /// of epoch invalidation.
-    pub(crate) fn new(capacity: usize, ttl: Option<Duration>) -> Self {
+    /// cache at all).
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache capacity must be ≥ 1");
         Self {
             capacity,
-            ttl,
             epoch: 0,
             map: HashMap::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
@@ -139,49 +114,33 @@ impl ResultCache {
         self.map.len()
     }
 
-    /// Probe for `key` against the backend's current data epoch. In
-    /// epoch mode an epoch change invalidates everything resident (the
-    /// data moved under the memos) before the probe; in TTL mode the
-    /// epoch is ignored and an expired entry is reclaimed as a miss.
-    /// A hit refreshes recency.
+    /// Probe for `key` against the backend's current data epoch. An
+    /// epoch change invalidates everything resident (the data moved
+    /// under the memos) before the probe. A hit refreshes recency.
     pub(crate) fn lookup(&mut self, key: &CacheKey, now_epoch: u64) -> Option<TicketReply> {
-        if self.ttl.is_none() && now_epoch != self.epoch {
+        if now_epoch != self.epoch {
             self.clear();
             self.epoch = now_epoch;
             return None;
         }
         let idx = *self.map.get(key)?;
-        if let Some(expires_at) = self.slots[idx].as_ref().expect("mapped slot").expires_at {
-            if Instant::now() >= expires_at {
-                self.remove(idx);
-                return None;
-            }
-        }
         self.unlink(idx);
         self.push_front(idx);
         Some(self.slots[idx].as_ref().expect("mapped slot").reply.clone())
     }
 
     /// Memoize `reply` for `key`. `sampled_epoch` is the backend epoch
-    /// read when the submission was accepted — in epoch mode, if the
-    /// cache has since synced to a newer epoch, the result may predate
-    /// a write and is dropped instead of inserted. In TTL mode every
-    /// insert lands and simply carries its own expiry.
+    /// read when the submission was accepted — if the cache has since
+    /// synced to a newer epoch, the result may predate a write and is
+    /// dropped instead of inserted.
     pub(crate) fn insert(&mut self, key: Arc<CacheKey>, reply: TicketReply, sampled_epoch: u64) {
-        if self.ttl.is_none() && sampled_epoch != self.epoch {
+        if sampled_epoch != self.epoch {
             return;
         }
-        let expires_at = self.ttl.map(|t| Instant::now() + t);
         if let Some(&idx) = self.map.get(&key) {
-            // A concurrent identical submission raced us here. In epoch
-            // mode both computed against the same data (same key ⇒ same
-            // answer), so keep the resident entry; in TTL mode ours may
-            // be fresher, so replace the reply and restart its clock.
-            let slot = self.slots[idx].as_mut().expect("dup slot");
-            if expires_at.is_some() {
-                slot.reply = reply;
-                slot.expires_at = expires_at;
-            }
+            // A concurrent identical submission raced us here. Both
+            // computed against the same data (same key ⇒ same answer),
+            // so keep the resident entry.
             self.unlink(idx);
             self.push_front(idx);
             return;
@@ -200,7 +159,6 @@ impl ResultCache {
         self.slots[idx] = Some(Slot {
             key: Arc::clone(&key),
             reply,
-            expires_at,
             prev: NIL,
             next: NIL,
         });
@@ -276,7 +234,7 @@ mod tests {
 
     #[test]
     fn hit_miss_and_lru_eviction() {
-        let mut c = ResultCache::new(2, None);
+        let mut c = ResultCache::new(2);
         assert!(c.lookup(&key(1.0, 4), 0).is_none());
         c.insert(Arc::new(key(1.0, 4)), reply(1), 0);
         c.insert(Arc::new(key(2.0, 4)), reply(2), 0);
@@ -292,7 +250,7 @@ mod tests {
 
     #[test]
     fn distinct_parameters_are_distinct_keys() {
-        let mut c = ResultCache::new(8, None);
+        let mut c = ResultCache::new(8);
         c.insert(Arc::new(key(1.0, 4)), reply(1), 0);
         assert!(c.lookup(&key(1.0, 5), 0).is_none(), "different k");
         let r = key(1.0, 4); // same coords+k, radius differs
@@ -311,7 +269,7 @@ mod tests {
 
     #[test]
     fn negative_zero_is_not_positive_zero() {
-        let mut c = ResultCache::new(4, None);
+        let mut c = ResultCache::new(4);
         c.insert(Arc::new(key(0.0, 4)), reply(1), 0);
         assert!(
             c.lookup(&key(-0.0, 4), 0).is_none(),
@@ -321,7 +279,7 @@ mod tests {
 
     #[test]
     fn epoch_change_invalidates_everything() {
-        let mut c = ResultCache::new(4, None);
+        let mut c = ResultCache::new(4);
         c.insert(Arc::new(key(1.0, 4)), reply(1), 0);
         assert!(c.lookup(&key(1.0, 4), 0).is_some());
         assert!(c.lookup(&key(1.0, 4), 7).is_none(), "epoch moved");
@@ -335,46 +293,8 @@ mod tests {
     }
 
     #[test]
-    fn ttl_mode_ignores_epoch_churn() {
-        let mut c = ResultCache::new(4, Some(Duration::from_secs(3600)));
-        c.insert(Arc::new(key(1.0, 4)), reply(1), 0);
-        // epoch moves on every backend write; TTL memos ride them out
-        assert!(c.lookup(&key(1.0, 4), 5).is_some());
-        assert!(c.lookup(&key(1.0, 4), 99).is_some());
-        assert_eq!(c.len(), 1);
-        // and a "stale"-epoch insert still lands — the TTL bounds its
-        // staleness, not the epoch
-        c.insert(Arc::new(key(2.0, 4)), reply(2), 0);
-        assert!(c.lookup(&key(2.0, 4), 123).is_some());
-    }
-
-    #[test]
-    fn expired_entries_are_reclaimed_on_probe() {
-        let mut c = ResultCache::new(4, Some(Duration::ZERO));
-        c.insert(Arc::new(key(1.0, 4)), reply(1), 0);
-        assert_eq!(c.len(), 1);
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(c.lookup(&key(1.0, 4), 0).is_none(), "expired ⇒ miss");
-        assert_eq!(c.len(), 0, "expired slot returned to the free list");
-        // the freed slot is reusable
-        c.insert(Arc::new(key(2.0, 4)), reply(2), 0);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn ttl_duplicate_insert_replaces_the_reply() {
-        let mut c = ResultCache::new(2, Some(Duration::from_secs(3600)));
-        c.insert(Arc::new(key(1.0, 4)), reply(1), 0);
-        c.insert(Arc::new(key(1.0, 4)), reply(9), 0);
-        assert_eq!(c.len(), 1);
-        // in TTL mode the later answer may be fresher: it wins
-        let got = c.lookup(&key(1.0, 4), 0).unwrap();
-        assert_eq!(got.rows().start, 9);
-    }
-
-    #[test]
     fn duplicate_insert_keeps_the_resident_entry() {
-        let mut c = ResultCache::new(2, None);
+        let mut c = ResultCache::new(2);
         c.insert(Arc::new(key(1.0, 4)), reply(1), 0);
         c.insert(Arc::new(key(1.0, 4)), reply(9), 0);
         assert_eq!(c.len(), 1);

@@ -58,31 +58,16 @@ pub struct ServiceConfig {
     /// Per-batch override of the backend's thread-parallel execution
     /// (`None` keeps whatever the backend was built with).
     pub parallel: Option<bool>,
-    /// **Per-shard** capacity (in submissions) of the hot-query result
-    /// cache; `0` (the default) disables caching entirely. When
-    /// enabled, `submit` resolves repeated submissions — same
-    /// coordinate bit patterns, `k`, radius, and bound mode — straight
-    /// from an LRU memo without touching the queue or the backend. The
-    /// effective capacity is `cache_capacity ×
-    /// [`shard_count`](panda_core::engine::NnBackend::shard_count)`, so
-    /// the same config serves a single-tree index and a many-shard
-    /// engine without starving the latter's proportionally larger hot
-    /// set. Unless [`cache_ttl`](Self::cache_ttl) is set, the cache is
+    /// Total capacity (in submissions) of the hot-query result cache;
+    /// `0` (the default) disables caching entirely. When enabled,
+    /// `submit` resolves repeated submissions — same coordinate bit
+    /// patterns, `k`, radius, and bound mode — straight from an LRU
+    /// memo without touching the queue or the backend. The cache is
     /// invalidated whenever the backend's
     /// [`data_epoch`](panda_core::engine::NnBackend::data_epoch) moves,
     /// so mutable backends never serve stale answers. Hits and misses
     /// are counted in [`crate::ServiceStats`].
     pub cache_capacity: usize,
-    /// Optional per-entry time-to-live for the result cache. `None`
-    /// (the default) keeps epoch invalidation: any backend write clears
-    /// the whole cache, guaranteeing zero staleness but also zeroing
-    /// the hit rate under a steady write trickle. `Some(ttl)` switches
-    /// to per-entry expiry instead — epoch moves are ignored, and each
-    /// memo serves for at most `ttl` after insertion. Choose it when
-    /// the workload tolerates answers up to `ttl` stale (monitoring
-    /// probes, dashboards) in exchange for cache hits that survive
-    /// writes. Ignored while `cache_capacity` is 0.
-    pub cache_ttl: Option<Duration>,
 }
 
 impl Default for ServiceConfig {
@@ -95,7 +80,6 @@ impl Default for ServiceConfig {
             order: QueryOrder::Morton,
             parallel: None,
             cache_capacity: 0,
-            cache_ttl: None,
         }
     }
 }
@@ -143,21 +127,12 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the hot-query result-cache capacity in submissions **per
-    /// backend shard** (`0` disables the cache, the default); see
+    /// Set the hot-query result-cache capacity in submissions (`0`
+    /// disables the cache, the default); see
     /// [`cache_capacity`](Self::cache_capacity).
     #[must_use]
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Give cache entries a per-entry time-to-live instead of epoch
-    /// invalidation; see [`cache_ttl`](Self::cache_ttl) for the
-    /// staleness trade.
-    #[must_use]
-    pub fn with_cache_ttl(mut self, ttl: Duration) -> Self {
-        self.cache_ttl = Some(ttl);
         self
     }
 

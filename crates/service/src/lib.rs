@@ -31,9 +31,8 @@
 //! * [`QueryService::drain`] flushes everything outstanding,
 //!   [`QueryService::shutdown`] additionally stops intake and joins the
 //!   scheduler, and [`QueryService::stats`] surfaces queue depth, a
-//!   batch-size histogram, p50/p99/p999 submit→resolve latency (overall
-//!   and per batch-size bucket), and the robustness counters
-//!   ([`ServiceStats`]).
+//!   batch-size histogram, p50/p99/p999 submit→resolve latency, and
+//!   the robustness counters ([`ServiceStats`]).
 //!
 //! ## Degrading gracefully
 //!

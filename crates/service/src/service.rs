@@ -7,6 +7,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use panda_core::engine::{NnBackend, QueryRequest, QueryResponse};
+use panda_core::supervise::{panic_message, restart_backoff};
 use panda_core::{
     faultpoint, BoundMode, NeighborTable, PandaError, PointSet, QueryCounters, Result,
 };
@@ -18,11 +19,6 @@ use crate::config::{OverflowPolicy, ServiceConfig};
 use crate::metrics::{Metrics, ServiceStats};
 use crate::ticket::{Ticket, TicketReply, TicketShared, WakeHub};
 
-/// First restart delay after a scheduler panic; doubles per consecutive
-/// panic up to [`RESTART_BACKOFF_MAX`].
-const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(5);
-/// Upper bound on the supervisor's restart backoff.
-const RESTART_BACKOFF_MAX: Duration = Duration::from_millis(250);
 /// A scheduler incarnation that survives this long resets the
 /// consecutive-panic count (the fault was transient, not systemic).
 const RESTART_HEALTHY_RESET: Duration = Duration::from_secs(5);
@@ -56,6 +52,19 @@ struct Pending {
     /// Sampled pipeline trace id minted at submit ([`TraceId::NONE`] for
     /// the unsampled majority).
     trace: TraceId,
+}
+
+impl Pending {
+    /// Why the scheduler must shed this submission instead of executing
+    /// it: cancelled by its client, or queued past its request deadline.
+    fn shed_reason(&self) -> Option<PandaError> {
+        if self.ticket.is_cancelled() {
+            return Some(PandaError::Cancelled);
+        }
+        let deadline = self.deadline?;
+        let waited = self.enqueued_at.elapsed();
+        (waited >= deadline).then_some(PandaError::DeadlineExceeded { deadline, waited })
+    }
 }
 
 /// Queue state guarded by the service mutex.
@@ -169,7 +178,7 @@ impl ServiceInner {
                 if let Some(reply) = hit {
                     self.metrics.submitted.inc();
                     self.metrics.cache_hits.inc();
-                    self.metrics.record_latency(probe_start.elapsed(), None);
+                    self.metrics.record_latency(probe_start.elapsed());
                     // A cache hit is the whole pipeline: one Resolve span.
                     trace::record(trace_id, Stage::Resolve, probe_start);
                     return Ok(Ticket {
@@ -262,15 +271,12 @@ impl ServiceInner {
         self.space.notify_all();
     }
 
-    /// Resolve one submission and record its end-to-end latency.
-    /// `batch_queries` is the coalesced batch size it executed in
-    /// (`None` when it never reached a backend). The waiter is *not*
-    /// woken here — callers broadcast once per drain cycle. A client
-    /// that already walked away (dropped its ticket while pending) is
-    /// counted as abandoned.
-    fn resolve(&self, pending: Pending, result: Result<TicketReply>, batch_queries: Option<usize>) {
-        self.metrics
-            .record_latency(pending.enqueued_at.elapsed(), batch_queries);
+    /// Resolve one submission and record its end-to-end latency. The
+    /// waiter is *not* woken here — callers broadcast once per drain
+    /// cycle. A client that already walked away (dropped its ticket
+    /// while pending) is counted as abandoned.
+    fn resolve(&self, pending: Pending, result: Result<TicketReply>) {
+        self.metrics.record_latency(pending.enqueued_at.elapsed());
         pending.ticket.resolve(result);
         if pending.ticket.is_abandoned() {
             self.metrics.abandoned.inc();
@@ -289,7 +295,7 @@ impl ServiceInner {
             }
             _ => {}
         }
-        self.resolve(pending, Err(err), None);
+        self.resolve(pending, Err(err));
     }
 
     /// Group one drained queue by [`BatchKey`] (stable order) and run
@@ -304,7 +310,7 @@ impl ServiceInner {
         // resolves these tickets via the in-flight registry.
         if let Err(e) = faultpoint::maybe_fail(faultpoint::points::SERVICE_DRAIN) {
             for m in taken {
-                self.resolve(m, Err(e.clone()), None);
+                self.resolve(m, Err(e.clone()));
             }
             self.wake.wake_all();
             return;
@@ -344,7 +350,7 @@ impl ServiceInner {
             Ok(p) => p,
             Err(e) => {
                 for m in members {
-                    self.resolve(m, Err(e.clone()), None);
+                    self.resolve(m, Err(e.clone()));
                 }
                 return;
             }
@@ -380,7 +386,7 @@ impl ServiceInner {
                         memos.push((ck, reply.clone(), epoch));
                     }
                     let member_trace = m.trace;
-                    self.resolve(m, Ok(reply), Some(total));
+                    self.resolve(m, Ok(reply));
                     trace::record(member_trace, Stage::Resolve, resolve_start);
                 }
                 if !memos.is_empty() {
@@ -394,17 +400,13 @@ impl ServiceInner {
             }
             Ok(Err(e)) => {
                 for m in members {
-                    self.resolve(m, Err(e.clone()), Some(total));
+                    self.resolve(m, Err(e.clone()));
                 }
             }
             Err(panic) => {
-                let msg = panic_message(panic);
+                let msg = panic_message(panic.as_ref());
                 for m in members {
-                    self.resolve(
-                        m,
-                        Err(PandaError::BackendPanicked(msg.clone())),
-                        Some(total),
-                    );
+                    self.resolve(m, Err(PandaError::BackendPanicked(msg.clone())));
                 }
             }
         }
@@ -463,19 +465,10 @@ impl ServiceInner {
     }
 }
 
-/// Best-effort human-readable payload of a caught panic.
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
-}
-
 fn scheduler_loop(inner: &ServiceInner) {
     loop {
-        let taken: Vec<Pending>;
-        let shed: Vec<(Pending, PandaError)>;
+        let mut taken: Vec<Pending> = Vec::new();
+        let mut shed: Vec<(Pending, PandaError)> = Vec::new();
         {
             let mut st = inner.state_lock();
             loop {
@@ -505,48 +498,36 @@ fn scheduler_loop(inner: &ServiceInner) {
                     .unwrap_or_else(PoisonError::into_inner);
                 st = guard;
             }
-            // Shed before assembling the batch: cancelled submissions
-            // and ones whose request deadline already expired give their
-            // queue slots back here instead of wasting backend work.
-            // (Resolved outside the lock, below.)
-            let mut shed_acc: Vec<(Pending, PandaError)> = Vec::new();
-            let mut i = 0;
-            while i < st.pending.len() {
-                if st.pending[i].ticket.is_cancelled() {
-                    let p = st.pending.remove(i);
-                    st.queued_queries -= p.n_queries;
-                    shed_acc.push((p, PandaError::Cancelled));
-                    continue;
-                }
-                if let Some(deadline) = st.pending[i].deadline {
-                    let waited = st.pending[i].enqueued_at.elapsed();
-                    if waited >= deadline {
-                        let p = st.pending.remove(i);
-                        st.queued_queries -= p.n_queries;
-                        shed_acc.push((p, PandaError::DeadlineExceeded { deadline, waited }));
-                        continue;
-                    }
-                }
-                i += 1;
-            }
-            shed = shed_acc;
-            // `max_batch` is a cap as well as a trigger: dispatch whole
-            // submissions until the next one would overflow it (always
-            // at least one, so an oversized multi-query submission still
-            // flows). Anything left stays queued — its head is already
+            // One order-preserving pass splits the queue three ways.
+            // Shed: cancelled submissions and ones whose request
+            // deadline already expired give their queue slots back
+            // instead of wasting backend work (resolved outside the
+            // lock, below). Taken: `max_batch` is a cap as well as a
+            // trigger, so whole surviving submissions are dispatched
+            // until the next one would overflow it (always at least
+            // one, so an oversized multi-query submission still flows).
+            // Anything after that stays queued — its head is already
             // past its deadline, so the next cycle flushes immediately.
-            let mut take_n = 0usize;
+            let mut rest = Vec::new();
+            let mut freed_q = 0usize;
             let mut take_q = 0usize;
-            for p in &st.pending {
-                if take_n > 0 && take_q + p.n_queries > inner.cfg.max_batch {
-                    break;
+            taken.reserve(st.pending.len());
+            for p in st.pending.drain(..) {
+                if let Some(err) = p.shed_reason() {
+                    freed_q += p.n_queries;
+                    shed.push((p, err));
+                } else if rest.is_empty()
+                    && (taken.is_empty() || take_q + p.n_queries <= inner.cfg.max_batch)
+                {
+                    take_q += p.n_queries;
+                    taken.push(p);
+                } else {
+                    rest.push(p);
                 }
-                take_q += p.n_queries;
-                take_n += 1;
             }
-            taken = st.pending.drain(..take_n).collect();
-            st.queued_queries -= take_q;
-            st.in_flight += take_n;
+            st.pending.append(&mut rest);
+            st.queued_queries -= freed_q + take_q;
+            st.in_flight += taken.len();
             // Register the batch's tickets while still holding the lock:
             // if this iteration panics mid-execute, the supervisor finds
             // them here and resolves every stranded client.
@@ -596,16 +577,13 @@ fn supervisor_loop(inner: &ServiceInner) {
         match std::panic::catch_unwind(AssertUnwindSafe(|| scheduler_loop(inner))) {
             Ok(()) => return,
             Err(panic) => {
-                let msg = panic_message(panic);
+                let msg = panic_message(panic.as_ref());
                 inner.metrics.scheduler_restarts.inc();
                 inner.repair_after_panic(&msg);
                 if started.elapsed() >= RESTART_HEALTHY_RESET {
                     consecutive = 0;
                 }
-                let backoff = RESTART_BACKOFF_BASE
-                    .saturating_mul(1u32 << consecutive.min(16))
-                    .min(RESTART_BACKOFF_MAX);
-                consecutive = consecutive.saturating_add(1);
+                let backoff = restart_backoff(&mut consecutive);
                 // Restart even when stopped: a shutdown-concurrent panic
                 // still leaves queued submissions to flush, and the loop
                 // exits cleanly once the queue is empty. Progress is
@@ -679,11 +657,6 @@ impl QueryService {
     pub fn new(backend: Arc<dyn NnBackend + Send + Sync>, cfg: ServiceConfig) -> Result<Self> {
         cfg.validate()?;
         let dims = backend.dims();
-        // Per-shard capacity knob → effective capacity: a sharded
-        // backend fields proportionally more distinct hot keys.
-        let cache_slots = cfg
-            .cache_capacity
-            .saturating_mul(backend.shard_count().max(1));
         let inner = Arc::new(ServiceInner {
             backend,
             cfg,
@@ -701,8 +674,8 @@ impl QueryService {
             idle: Condvar::new(),
             wake: WakeHub::new(),
             metrics: Metrics::default(),
-            cache: (cache_slots > 0)
-                .then(|| Mutex::new(ResultCache::new(cache_slots, cfg.cache_ttl))),
+            cache: (cfg.cache_capacity > 0)
+                .then(|| Mutex::new(ResultCache::new(cfg.cache_capacity))),
         });
         let scheduler = {
             let inner = Arc::clone(&inner);

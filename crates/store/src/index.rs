@@ -12,6 +12,7 @@ use panda_core::engine::{NeighborTable, NnBackend, QueryRequest, QueryResponse};
 use panda_core::faultpoint::{self, points};
 use panda_core::knn::KnnIndex;
 use panda_core::local_tree::{PackedLeaves, LANE};
+use panda_core::supervise::panic_message;
 use panda_core::{KnnHeap, Neighbor, PandaError, PointSet, QueryCounters, Result, TreeConfig};
 use panda_obs::trace::{self, Stage};
 use panda_obs::{Registry, Snapshot};
@@ -162,16 +163,6 @@ struct StoreInner {
 #[derive(Clone, Debug)]
 pub struct MutableIndex {
     inner: Arc<StoreInner>,
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 impl MutableIndex {
@@ -646,7 +637,7 @@ impl StoreInner {
         .unwrap_or_else(|payload| {
             Err(PandaError::BackendPanicked(format!(
                 "compaction build panicked: {}",
-                panic_message(payload)
+                panic_message(payload.as_ref())
             )))
         });
 

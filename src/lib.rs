@@ -90,8 +90,8 @@
 //! independent clients: submissions are coalesced into Morton-ordered
 //! micro-batches (flushed on size *or* deadline) executed on the
 //! persistent worker pool, and every client gets a zero-copy slice of
-//! the shared batch response. This closed loop is exactly the
-//! `bench_pr5` workload:
+//! the shared batch response. This closed loop is the shape of the
+//! benchmark's `serve_hotspot` workload (`benchmark/README.md`):
 //!
 //! ```
 //! use std::sync::Arc;
@@ -140,8 +140,8 @@
 //! `submit` either blocks or fails fast with `PandaError::Overloaded`
 //! ([`OverflowPolicy`](prelude::OverflowPolicy)). `drain` flushes all
 //! outstanding tickets; `stats` exposes queue depth, the batch-size
-//! histogram, and p50/p99/p999 submit→resolve latency (overall and per
-//! batch-size bucket). The service requires `Send + Sync` backends
+//! histogram, and p50/p99/p999 submit→resolve latency. The service
+//! requires `Send + Sync` backends
 //! (pinned by `tests/thread_safety.rs`); `KnnIndex`, `MutableIndex`,
 //! the in-process baselines, **and** the sharded distributed engine all
 //! qualify. An optional hot-query result cache
@@ -275,8 +275,9 @@
 //! query distributions). The distributed engine is CSR-native end to
 //! end: responses are assembled directly into the flat
 //! [`NeighborTable`](prelude::NeighborTable) with no nested
-//! `Vec<Vec<Neighbor>>` intermediate (see `BENCH_PR3.json`, written by
-//! `cargo run --release --bin bench_pr3`).
+//! `Vec<Vec<Neighbor>>` intermediate (the `sharded2` workload of
+//! `bash benchmark/run.sh` measures it; `--trace 1` adds the shard and
+//! comm rungs of the per-layer ladder).
 //!
 //! ## Observability
 //!

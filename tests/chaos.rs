@@ -14,7 +14,7 @@
 //! red run replays identically. No test here relies on a timeout longer
 //! than 5 seconds.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use panda::comm::{run_cluster, ClusterConfig, CommError, RetryPolicy};
@@ -40,6 +40,35 @@ fn service_over(n: usize, cfg: ServiceConfig) -> QueryService {
 
 fn single_query(x: f32) -> PointSet {
     PointSet::from_coords(1, vec![x]).unwrap()
+}
+
+/// A `KnnIndex` that records the query coordinates of every batch it is
+/// handed, in the order the service assembled them.
+struct RecordingBackend {
+    inner: KnnIndex,
+    seen: Mutex<Vec<f32>>,
+}
+
+impl NnBackend for RecordingBackend {
+    fn query(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
+        self.seen
+            .lock()
+            .unwrap()
+            .extend_from_slice(req.queries().coords());
+        self.inner.query_session(req)
+    }
+
+    fn name(&self) -> &'static str {
+        "recording"
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn dims(&self) -> usize {
+        self.inner.dims()
+    }
 }
 
 // ---------------------------------------------------------------- service
@@ -76,6 +105,56 @@ fn expired_deadline_submissions_are_shed_with_typed_errors() {
     let stats = service.stats();
     assert_eq!(stats.deadline_exceeded, 1);
     assert_eq!(stats.cancelled, 0);
+    service.shutdown();
+
+    // One flush over interleaved cancelled / expired / live submissions:
+    // the backend sees exactly the survivors, in submission order.
+    let backend = Arc::new(RecordingBackend {
+        inner: KnnIndex::build(&line_points(64), &TreeConfig::default()).unwrap(),
+        seen: Mutex::new(Vec::new()),
+    });
+    let service = QueryService::new(
+        backend.clone(),
+        ServiceConfig::default()
+            .with_max_batch(1024)
+            .with_max_delay(Duration::from_millis(500)),
+    )
+    .unwrap();
+    // cancelling consumes the ticket: only live and expired ones remain
+    let tickets: Vec<(usize, Ticket)> = (0..30)
+        .filter_map(|i| {
+            let q = single_query(i as f32 + 0.2);
+            let mut req = QueryRequest::knn(&q, 1);
+            if i % 3 == 1 {
+                req = req.with_deadline(Duration::ZERO);
+            }
+            let ticket = service.submit(&req).unwrap();
+            if i % 3 == 2 {
+                assert!(ticket.cancel(), "submission {i} still pending");
+                return None;
+            }
+            Some((i, ticket))
+        })
+        .collect();
+    service.drain();
+    for (i, ticket) in tickets {
+        match (i % 3, ticket.wait()) {
+            (0, Ok(reply)) => assert_eq!(reply.row(0)[0].id, i as u64),
+            (1, Err(PandaError::DeadlineExceeded { .. })) => {}
+            (_, other) => panic!("submission {i}: unexpected {other:?}"),
+        }
+    }
+    let live: Vec<f32> = (0..30).step_by(3).map(|i| i as f32 + 0.2).collect();
+    assert_eq!(
+        *backend.seen.lock().unwrap(),
+        live,
+        "survivors kept submission order"
+    );
+    let stats = service.stats();
+    assert_eq!(stats.deadline_exceeded, 10);
+    assert_eq!(stats.cancelled, 10);
+    assert_eq!(stats.batches, 1, "one flush");
+    assert_eq!(stats.queue_depth, 0);
     service.shutdown();
 }
 

@@ -284,7 +284,9 @@ fn active_segment(dir: &Path) -> PathBuf {
 /// but only by shortening the surviving **prefix** — never corrupting
 /// or reordering it. The crash is simulated faithfully for a
 /// lost-page-cache kill: the unsynced tail of the active segment is
-/// discarded (closed segments and snapshots are always fsynced).
+/// discarded (closed segments and snapshots are always fsynced). After
+/// an explicit [`MutableIndex::sync`] there is no such tail: every
+/// policy loses nothing.
 #[test]
 fn fsync_policies_only_widen_the_loss_window() {
     let _guard = faultpoint::arm(FaultPlan::new()); // exclusion only
@@ -296,7 +298,8 @@ fn fsync_policies_only_widen_the_loss_window() {
         FsyncPolicy::EveryN(4),
         FsyncPolicy::OnCompaction,
     ] {
-        for kill_after in [40usize, 170, 300] {
+        for (kill_after, sync_first) in [(40usize, false), (170, false), (300, false), (300, true)]
+        {
             run += 1;
             let dir = tmp.run_dir(run);
             let store = MutableIndex::open(&dir, DIMS, cfg().with_fsync(policy)).unwrap();
@@ -328,9 +331,12 @@ fn fsync_policies_only_widen_the_loss_window() {
                 }
                 prefixes.push(oracle.clone());
             }
+            if sync_first {
+                store.sync().unwrap();
+            }
             let synced = store.stats().wal_synced_bytes;
-            // No clean shutdown, no final sync — then the kill: whatever
-            // the OS never flushed is gone.
+            // No clean shutdown — then the kill: whatever the OS never
+            // flushed is gone.
             drop(store);
             let active = active_segment(&dir);
             fs::OpenOptions::new()
@@ -343,10 +349,13 @@ fn fsync_policies_only_widen_the_loss_window() {
             let matched = (0..=kill_after)
                 .rev()
                 .find(|&m| live_set_equals(&store, &prefixes[m]));
-            let who = format!("{policy:?}, kill after step {kill_after}");
+            let who = format!("{policy:?}, kill after step {kill_after}, synced {sync_first}");
             let m = matched
                 .unwrap_or_else(|| panic!("{who}: recovered state is not any acknowledged prefix"));
             match policy {
+                _ if sync_first => {
+                    assert_eq!(m, kill_after, "{who}: a synced write must survive")
+                }
                 FsyncPolicy::PerWrite => {
                     assert_eq!(m, kill_after, "{who}: PerWrite must lose nothing")
                 }

@@ -645,67 +645,3 @@ fn result_cache_hits_are_counted_and_epoch_invalidated() {
     assert_eq!(stats.cache_misses, 2);
     service.shutdown();
 }
-
-/// With a TTL (`with_cache_ttl`), a backend write no longer wipes the
-/// cache: the same key keeps hitting across the epoch bump, with the
-/// TTL bounding its staleness instead.
-#[test]
-fn ttl_cache_survives_writes() {
-    let points = random_ps(600, 3, 151);
-    let store = MutableIndex::from_points(&points, StoreConfig::default()).unwrap();
-    let service = QueryService::new(
-        Arc::new(store.clone()),
-        ServiceConfig::default()
-            .with_max_delay(Duration::from_micros(50))
-            .with_cache_capacity(64)
-            .with_cache_ttl(Duration::from_secs(3600)),
-    )
-    .unwrap();
-
-    let hot = PointSet::from_coords(3, points.point(3).to_vec()).unwrap();
-    let req = QueryRequest::knn(&hot, 5);
-    let first = rows(&service.submit(&req).unwrap().wait().unwrap());
-
-    // a write bumps the data epoch; the TTL memo must ride it out
-    store.insert(&[999.0, 999.0, 999.0], 777_001).unwrap();
-    let second = rows(&service.submit(&req).unwrap().wait().unwrap());
-    assert_eq!(first, second, "TTL hit serves the memoized reply");
-
-    let stats = service.stats();
-    assert_eq!(stats.cache_hits, 1, "write did not clear the TTL cache");
-    assert_eq!(stats.cache_misses, 1);
-    assert_eq!(stats.queries, 1, "the hit never reached the backend");
-    service.shutdown();
-}
-
-/// `cache_capacity` is per shard: capacity 1 over a 4-shard backend
-/// yields 4 effective slots, so two distinct hot keys coexist where an
-/// unscaled capacity-1 cache would evict one with the other.
-#[test]
-fn cache_capacity_scales_with_backend_shard_count() {
-    let points = random_ps(2000, 3, 152);
-    let sharded = Arc::new(ShardedIndex::build(&points, 4, &DistConfig::default()).unwrap());
-    let service = QueryService::new(
-        Arc::clone(&sharded) as Arc<dyn NnBackend + Send + Sync>,
-        ServiceConfig::default()
-            .with_max_delay(Duration::from_micros(50))
-            .with_cache_capacity(1),
-    )
-    .unwrap();
-
-    let a = PointSet::from_coords(3, points.point(5).to_vec()).unwrap();
-    let b = PointSet::from_coords(3, points.point(6).to_vec()).unwrap();
-    let req_a = QueryRequest::knn(&a, 5);
-    let req_b = QueryRequest::knn(&b, 5);
-    service.submit(&req_a).unwrap().wait().unwrap();
-    service.submit(&req_b).unwrap().wait().unwrap();
-    // with one unscaled slot, b would have evicted a; with 1 × 4 shards
-    // both stay resident
-    service.submit(&req_a).unwrap().wait().unwrap();
-    service.submit(&req_b).unwrap().wait().unwrap();
-
-    let stats = service.stats();
-    assert_eq!(stats.cache_misses, 2);
-    assert_eq!(stats.cache_hits, 2, "both keys resident: capacity scaled");
-    service.shutdown();
-}

@@ -301,8 +301,9 @@ fn sampled_trace_covers_every_pipeline_stage() {
 
 /// Satellite: with sampling disarmed, the whole tracing surface costs a
 /// handful of relaxed loads per submission — bounded here at under 2%
-/// of one smoke-benchmark query's wall time (the bench_pr5 --smoke
-/// workload shape: closed-loop clients over a local KnnIndex).
+/// of one smoke-benchmark query's wall time (the shape of
+/// `benchmark/run.sh --smoke`'s `serve_hotspot` workload: closed-loop
+/// clients over a local KnnIndex).
 #[test]
 fn unsampled_tracing_overhead_is_under_two_percent() {
     let _g = trace_lock();
