@@ -1,6 +1,4 @@
-//! Service tuning knobs: flush triggers, queue bounds, overflow policy.
-
-use std::time::Duration;
+//! Service tuning knobs: batch cap, queue bounds, overflow policy.
 
 use panda_core::{PandaError, QueryOrder, Result};
 
@@ -18,32 +16,27 @@ pub enum OverflowPolicy {
 
 /// Builder-style configuration for a [`crate::QueryService`].
 ///
-/// The two flush triggers implement dynamic micro-batching: a batch is
-/// dispatched as soon as **either** `max_batch` query points have
-/// accumulated **or** the oldest queued submission has waited
-/// `max_delay`. Small `max_delay` bounds tail latency under light load;
-/// `max_batch` bounds memory and keeps heavy load flowing in
-/// locality-friendly chunks.
+/// Micro-batching is work-conserving and needs no tuning: the scheduler
+/// sleeps only while the queue is empty, and each batch is whatever
+/// queued while the previous batch ran, capped at `max_batch`. An idle
+/// service therefore runs a lone submission at once, and batch size
+/// grows with load by itself; `max_batch` bounds memory and keeps heavy
+/// load flowing in locality-friendly chunks.
 ///
 /// ```
 /// use panda_service::{OverflowPolicy, ServiceConfig};
-/// use std::time::Duration;
 ///
 /// let cfg = ServiceConfig::default()
 ///     .with_max_batch(128)
-///     .with_max_delay(Duration::from_micros(200))
 ///     .with_queue_capacity(4096)
 ///     .with_overflow(OverflowPolicy::Reject);
 /// assert!(cfg.validate().is_ok());
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServiceConfig {
-    /// Flush as soon as this many query points are queued, and cap
-    /// each dispatched batch at this size (a single submission larger
-    /// than the cap still dispatches whole).
+    /// Cap on the query points of one dispatched batch (a single
+    /// submission larger than the cap still dispatches whole).
     pub max_batch: usize,
-    /// Flush once the oldest queued submission has waited this long.
-    pub max_delay: Duration,
     /// Bounded-queue capacity in query points; `submit` applies the
     /// [`OverflowPolicy`] beyond it.
     pub queue_capacity: usize,
@@ -74,7 +67,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             max_batch: 256,
-            max_delay: Duration::from_micros(500),
             queue_capacity: 8192,
             overflow: OverflowPolicy::Block,
             order: QueryOrder::Morton,
@@ -85,17 +77,10 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Set the size flush trigger (query points per micro-batch).
+    /// Set the batch cap (query points per micro-batch).
     #[must_use]
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
-        self
-    }
-
-    /// Set the deadline flush trigger.
-    #[must_use]
-    pub fn with_max_delay(mut self, max_delay: Duration) -> Self {
-        self.max_delay = max_delay;
         self
     }
 
@@ -137,7 +122,7 @@ impl ServiceConfig {
     }
 
     /// Validate: `max_batch ≥ 1`, `queue_capacity ≥ max_batch` (a full
-    /// batch must be queueable), non-zero `max_delay`.
+    /// batch must be queueable).
     pub fn validate(&self) -> Result<()> {
         if self.max_batch == 0 {
             return Err(PandaError::BadConfig("max_batch must be ≥ 1".into()));
@@ -147,11 +132,6 @@ impl ServiceConfig {
                 "queue_capacity ({}) must be at least max_batch ({})",
                 self.queue_capacity, self.max_batch
             )));
-        }
-        if self.max_delay.is_zero() {
-            return Err(PandaError::BadConfig(
-                "max_delay must be non-zero (use e.g. 1µs for near-immediate flushes)".into(),
-            ));
         }
         Ok(())
     }
@@ -169,7 +149,6 @@ mod tests {
         assert_eq!(cfg.order, QueryOrder::Morton);
         let cfg = cfg
             .with_max_batch(64)
-            .with_max_delay(Duration::from_millis(2))
             .with_queue_capacity(64)
             .with_overflow(OverflowPolicy::Reject)
             .with_order(QueryOrder::Input)
@@ -188,10 +167,6 @@ mod tests {
         assert!(ServiceConfig::default()
             .with_max_batch(100)
             .with_queue_capacity(10)
-            .validate()
-            .is_err());
-        assert!(ServiceConfig::default()
-            .with_max_delay(Duration::ZERO)
             .validate()
             .is_err());
     }

@@ -15,12 +15,14 @@
 //! * clients clone a cheap [`ServiceHandle`] and call
 //!   [`ServiceHandle::submit`], which enqueues the request and returns a
 //!   [`Ticket`] immediately;
-//! * the scheduler **coalesces** the queue into micro-batches — flushed
-//!   as soon as [`ServiceConfig::max_batch`] query points accumulate
-//!   *or* the oldest submission has waited
-//!   [`ServiceConfig::max_delay`] — Morton-orders each batch, and
-//!   executes it on the persistent worker pool behind the engine's
-//!   parallel path;
+//! * the scheduler is **work-conserving**: it sleeps only while the
+//!   queue is empty, and whenever it is free it takes what is queued —
+//!   up to [`ServiceConfig::max_batch`] query points — as one
+//!   micro-batch. A lone submission over an idle service runs at once;
+//!   under load, whatever arrived while the previous batch executed
+//!   **coalesces** into the next, so batch size tracks load with no
+//!   delay to tune. It Morton-orders each batch and executes it on the
+//!   persistent worker pool behind the engine's parallel path;
 //! * each [`Ticket`] resolves to a [`TicketReply`]: a **zero-copy**
 //!   row-slice into the shared batch response (`Arc`ed CSR
 //!   `NeighborTable`), so scatter-back copies no neighbors;

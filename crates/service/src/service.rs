@@ -78,8 +78,6 @@ struct QueueState {
     /// state lock is released so a panicking scheduler iteration leaves
     /// the supervisor enough to resolve every stranded client.
     in_flight_tickets: Vec<Arc<TicketShared>>,
-    /// Drain callers currently waiting (forces immediate flushes).
-    drain_waiters: usize,
     stopped: bool,
 }
 
@@ -88,7 +86,7 @@ struct ServiceInner {
     cfg: ServiceConfig,
     dims: usize,
     state: Mutex<QueueState>,
-    /// Scheduler wake-up: new work, a drain, or shutdown.
+    /// Scheduler wake-up: the queue became non-empty, or shutdown.
     not_empty: Condvar,
     /// Blocked submitters wake-up: queue space freed (or shutdown).
     space: Condvar,
@@ -236,12 +234,10 @@ impl ServiceInner {
             self.metrics.submitted.inc();
             self.metrics.queries.add(n as u64);
             self.metrics.set_queue_depth(st.queued_queries);
-            // Wake the scheduler only when this submission changes what
-            // it is waiting for: the queue just became non-empty (a new
-            // deadline exists) or the size trigger fired. Intermediate
-            // submissions leave the deadline untouched — waking the
-            // scheduler for each one is a context-switch per request.
-            wake_scheduler = st.pending.len() == 1 || st.queued_queries >= self.cfg.max_batch;
+            // The scheduler sleeps only on an empty queue, so only the
+            // submission that makes it non-empty can find it asleep. A
+            // busy scheduler re-reads the queue when its batch finishes.
+            wake_scheduler = st.pending.len() == 1;
         }
         if wake_scheduler {
             self.not_empty.notify_one();
@@ -252,15 +248,9 @@ impl ServiceInner {
     /// Block until every queued and in-flight submission has resolved.
     fn drain(&self) {
         let mut st = self.state_lock();
-        if st.pending.is_empty() && st.in_flight == 0 {
-            return;
-        }
-        st.drain_waiters += 1;
-        self.not_empty.notify_one();
         while !(st.pending.is_empty() && st.in_flight == 0) {
             st = self.idle.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-        st.drain_waiters -= 1;
     }
 
     fn stop(&self) {
@@ -471,43 +461,25 @@ fn scheduler_loop(inner: &ServiceInner) {
         let mut shed: Vec<(Pending, PandaError)> = Vec::new();
         {
             let mut st = inner.state_lock();
-            loop {
-                if st.pending.is_empty() {
-                    if st.stopped {
-                        return;
-                    }
-                    st = inner
-                        .not_empty
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    continue;
+            // Work-conserving: sleep only while nothing is queued. What
+            // arrived while the previous batch ran is the next batch.
+            while st.pending.is_empty() {
+                if st.stopped {
+                    return;
                 }
-                // Flush triggers: size, shutdown/drain pressure, or the
-                // oldest submission's batching delay.
-                if st.stopped || st.drain_waiters > 0 || st.queued_queries >= inner.cfg.max_batch {
-                    break;
-                }
-                let waited = st.pending[0].enqueued_at.elapsed();
-                if waited >= inner.cfg.max_delay {
-                    break;
-                }
-                let remaining = inner.cfg.max_delay - waited;
-                let (guard, _timeout) = inner
+                st = inner
                     .not_empty
-                    .wait_timeout(st, remaining)
+                    .wait(st)
                     .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
             }
             // One order-preserving pass splits the queue three ways.
             // Shed: cancelled submissions and ones whose request
             // deadline already expired give their queue slots back
             // instead of wasting backend work (resolved outside the
-            // lock, below). Taken: `max_batch` is a cap as well as a
-            // trigger, so whole surviving submissions are dispatched
-            // until the next one would overflow it (always at least
+            // lock, below). Taken: whole surviving submissions, until
+            // the next one would overflow `max_batch` (always at least
             // one, so an oversized multi-query submission still flows).
-            // Anything after that stays queued — its head is already
-            // past its deadline, so the next cycle flushes immediately.
+            // Anything after that stays queued for the next cycle.
             let mut rest = Vec::new();
             let mut freed_q = 0usize;
             let mut take_q = 0usize;
@@ -643,8 +615,9 @@ impl std::fmt::Debug for ServiceHandle {
 ///
 /// See the crate docs for the execution model; in short: `submit`
 /// enqueues, a dedicated scheduler coalesces the queue into
-/// Morton-ordered micro-batches (flushing on size *or* deadline),
-/// batches execute on the persistent worker pool, and each client's
+/// Morton-ordered micro-batches (whatever queued while the previous
+/// batch ran, capped at `max_batch`; immediately when idle), batches
+/// execute on the persistent worker pool, and each client's
 /// ticket resolves to a zero-copy slice of the shared batch response.
 pub struct QueryService {
     inner: Arc<ServiceInner>,
@@ -666,7 +639,6 @@ impl QueryService {
                 queued_queries: 0,
                 in_flight: 0,
                 in_flight_tickets: Vec::new(),
-                drain_waiters: 0,
                 stopped: false,
             }),
             not_empty: Condvar::new(),

@@ -13,7 +13,6 @@
 //! coalesced batches actually got, and what latency the clients paid.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use panda::data::uniform;
 use panda::prelude::*;
@@ -32,8 +31,7 @@ fn main() -> Result<()> {
     let service = QueryService::new(
         index,
         ServiceConfig::default()
-            .with_max_batch(128) // flush on size …
-            .with_max_delay(Duration::from_micros(300)) // … or deadline
+            .with_max_batch(128) // cap on one coalesced batch
             .with_queue_capacity(4096) // bounded queue
             .with_overflow(OverflowPolicy::Block), // backpressure
     )?;

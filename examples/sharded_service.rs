@@ -13,7 +13,6 @@
 //! queries repeat, and prints the shard + cache telemetry.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use panda::data::uniform;
 use panda::prelude::*;
@@ -41,7 +40,6 @@ fn main() -> Result<()> {
         index.clone(),
         ServiceConfig::default()
             .with_max_batch(128)
-            .with_max_delay(Duration::from_micros(300))
             .with_queue_capacity(4096)
             .with_overflow(OverflowPolicy::Block)
             .with_cache_capacity(256), // LRU over resolved batches

@@ -13,7 +13,6 @@
 //! resolve, with the store's WAL/compaction stages alongside.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use panda::data::uniform;
 use panda::obs;
@@ -40,7 +39,6 @@ fn main() -> Result<()> {
         index,
         ServiceConfig::default()
             .with_max_batch(64)
-            .with_max_delay(Duration::from_micros(300))
             .with_cache_capacity(64),
     )?;
     let workers: Vec<_> = (0..CLIENTS)

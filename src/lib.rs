@@ -88,9 +88,10 @@
 //! One-shot `query` calls forfeit the batching the engine is fast at.
 //! [`QueryService`](prelude::QueryService) recovers it for many
 //! independent clients: submissions are coalesced into Morton-ordered
-//! micro-batches (flushed on size *or* deadline) executed on the
-//! persistent worker pool, and every client gets a zero-copy slice of
-//! the shared batch response. This closed loop is the shape of the
+//! micro-batches (whatever queued while the previous batch ran, at
+//! once when the service is idle) executed on the persistent worker
+//! pool, and every client gets a zero-copy slice of the shared batch
+//! response. This closed loop is the shape of the
 //! benchmark's `serve_hotspot` workload (`benchmark/README.md`):
 //!
 //! ```
@@ -99,12 +100,7 @@
 //!
 //! let points = PointSet::from_coords(1, (0..64).map(|i| i as f32).collect())?;
 //! let index = Arc::new(KnnIndex::build(&points, &TreeConfig::default())?);
-//! let service = QueryService::new(
-//!     index,
-//!     ServiceConfig::default()
-//!         .with_max_batch(32)
-//!         .with_max_delay(std::time::Duration::from_micros(200)),
-//! )?;
+//! let service = QueryService::new(index, ServiceConfig::default().with_max_batch(32))?;
 //!
 //! // four clients, each a closed loop: submit one query, wait, repeat
 //! let workers: Vec<_> = (0..4u64)

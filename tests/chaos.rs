@@ -14,9 +14,12 @@
 //! red run replays identically. No test here relies on a timeout longer
 //! than 5 seconds.
 
-use std::sync::{Arc, Mutex};
+mod common;
+
+use std::sync::Arc;
 use std::time::Duration;
 
+use common::{GatedBackend, RecordingBackend};
 use panda::comm::{run_cluster, ClusterConfig, CommError, RetryPolicy};
 use panda::core::faultpoint::{self, points, FaultAction, FaultPlan, FaultSpec};
 use panda::data::{scatter, uniform};
@@ -42,33 +45,28 @@ fn single_query(x: f32) -> PointSet {
     PointSet::from_coords(1, vec![x]).unwrap()
 }
 
-/// A `KnnIndex` that records the query coordinates of every batch it is
-/// handed, in the order the service assembled them.
-struct RecordingBackend {
-    inner: KnnIndex,
-    seen: Mutex<Vec<f32>>,
+type Gate = Arc<GatedBackend<RecordingBackend<KnnIndex>>>;
+
+/// A service whose scheduler parks inside its first batch until the
+/// test opens the gate, over a backend that records every batch.
+fn gated_service_over(n: usize, cfg: ServiceConfig) -> (Gate, QueryService) {
+    let index = KnnIndex::build(&line_points(n), &TreeConfig::default()).unwrap();
+    let gate = Arc::new(GatedBackend::new(RecordingBackend::new(index)));
+    let service = QueryService::new(gate.clone(), cfg).unwrap();
+    (gate, service)
 }
 
-impl NnBackend for RecordingBackend {
-    fn query(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
-        self.seen
-            .lock()
-            .unwrap()
-            .extend_from_slice(req.queries().coords());
-        self.inner.query_session(req)
-    }
+const BAIT: f32 = 0.1;
 
-    fn name(&self) -> &'static str {
-        "recording"
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn dims(&self) -> usize {
-        self.inner.dims()
-    }
+/// Submit one query the test does not care about and wait until the
+/// scheduler is parked in the gate with it: from here on submissions
+/// can only queue.
+fn park_scheduler(gate: &Gate, service: &QueryService) -> Ticket {
+    let bait = service
+        .submit(&QueryRequest::knn(&single_query(BAIT), 1))
+        .unwrap();
+    gate.await_entry();
+    bait
 }
 
 // ---------------------------------------------------------------- service
@@ -79,12 +77,7 @@ impl NnBackend for RecordingBackend {
 #[test]
 fn expired_deadline_submissions_are_shed_with_typed_errors() {
     let _guard = faultpoint::arm(FaultPlan::new());
-    let service = service_over(
-        64,
-        ServiceConfig::default()
-            .with_max_batch(16)
-            .with_max_delay(Duration::from_millis(5)),
-    );
+    let service = service_over(64, ServiceConfig::default().with_max_batch(16));
 
     let q = single_query(3.3);
     let doomed = service
@@ -107,19 +100,11 @@ fn expired_deadline_submissions_are_shed_with_typed_errors() {
     assert_eq!(stats.cancelled, 0);
     service.shutdown();
 
-    // One flush over interleaved cancelled / expired / live submissions:
-    // the backend sees exactly the survivors, in submission order.
-    let backend = Arc::new(RecordingBackend {
-        inner: KnnIndex::build(&line_points(64), &TreeConfig::default()).unwrap(),
-        seen: Mutex::new(Vec::new()),
-    });
-    let service = QueryService::new(
-        backend.clone(),
-        ServiceConfig::default()
-            .with_max_batch(1024)
-            .with_max_delay(Duration::from_millis(500)),
-    )
-    .unwrap();
+    // One flush over interleaved cancelled / expired / live submissions
+    // (queued while the scheduler is parked in the gate): the backend
+    // sees exactly the survivors, in submission order.
+    let (gate, service) = gated_service_over(64, ServiceConfig::default());
+    let bait = park_scheduler(&gate, &service);
     // cancelling consumes the ticket: only live and expired ones remain
     let tickets: Vec<(usize, Ticket)> = (0..30)
         .filter_map(|i| {
@@ -136,7 +121,9 @@ fn expired_deadline_submissions_are_shed_with_typed_errors() {
             Some((i, ticket))
         })
         .collect();
+    gate.open_gate();
     service.drain();
+    bait.wait().unwrap();
     for (i, ticket) in tickets {
         match (i % 3, ticket.wait()) {
             (0, Ok(reply)) => assert_eq!(reply.row(0)[0].id, i as u64),
@@ -146,14 +133,14 @@ fn expired_deadline_submissions_are_shed_with_typed_errors() {
     }
     let live: Vec<f32> = (0..30).step_by(3).map(|i| i as f32 + 0.2).collect();
     assert_eq!(
-        *backend.seen.lock().unwrap(),
-        live,
+        gate.inner.batches(),
+        vec![vec![BAIT], live],
         "survivors kept submission order"
     );
     let stats = service.stats();
     assert_eq!(stats.deadline_exceeded, 10);
     assert_eq!(stats.cancelled, 10);
-    assert_eq!(stats.batches, 1, "one flush");
+    assert_eq!(stats.batches, 2, "the bait, then one flush");
     assert_eq!(stats.queue_depth, 0);
     service.shutdown();
 }
@@ -165,22 +152,25 @@ fn expired_deadline_submissions_are_shed_with_typed_errors() {
 #[test]
 fn cancel_detaches_pending_submissions() {
     let _guard = faultpoint::arm(FaultPlan::new());
-    let service = service_over(
-        64,
-        ServiceConfig::default()
-            .with_max_batch(1024)
-            .with_max_delay(Duration::from_millis(500)),
-    );
+    let (gate, service) = gated_service_over(64, ServiceConfig::default());
+    let bait = park_scheduler(&gate, &service);
 
     let q = single_query(7.4);
     let keep_a = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
     let doomed = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
     let keep_b = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
     assert!(doomed.cancel(), "still pending: cancellation registered");
+    gate.open_gate();
     service.drain();
 
+    bait.wait().unwrap();
     assert_eq!(keep_a.wait().unwrap().row(0)[0].id, 7);
     assert_eq!(keep_b.wait().unwrap().row(0)[0].id, 7);
+    assert_eq!(
+        gate.inner.batches(),
+        vec![vec![BAIT], vec![7.4, 7.4]],
+        "the backend never saw the cancelled submission"
+    );
     let stats = service.stats();
     assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.deadline_exceeded, 0);
@@ -199,22 +189,20 @@ fn cancel_detaches_pending_submissions() {
 #[test]
 fn abandoned_tickets_are_counted_when_their_reply_arrives() {
     let _guard = faultpoint::arm(FaultPlan::new());
-    let service = service_over(
-        64,
-        ServiceConfig::default()
-            .with_max_batch(1024)
-            .with_max_delay(Duration::from_millis(200)),
-    );
+    let (gate, service) = gated_service_over(64, ServiceConfig::default());
+    let bait = park_scheduler(&gate, &service);
 
     let q = single_query(1.2);
     let walker = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
     // a wait_timeout miss hands the ticket back; the client gives up
     let walker = match walker.wait_timeout(Duration::from_millis(1)) {
         Err(t) => t,
-        Ok(r) => panic!("resolved before the queue even flushed: {r:?}"),
+        Ok(r) => panic!("resolved while the scheduler was parked: {r:?}"),
     };
     drop(walker);
+    gate.open_gate();
     service.drain();
+    bait.wait().unwrap();
     assert_eq!(service.stats().abandoned, 1);
 
     // consumed and cancelled tickets are NOT abandoned
@@ -235,12 +223,7 @@ fn drain_fault_degrades_one_flush_and_the_service_recovers() {
     let guard = faultpoint::arm(
         FaultPlan::new().with(FaultSpec::new(points::SERVICE_DRAIN, FaultAction::Fail).times(1)),
     );
-    let service = service_over(
-        64,
-        ServiceConfig::default()
-            .with_max_batch(16)
-            .with_max_delay(Duration::from_millis(2)),
-    );
+    let service = service_over(64, ServiceConfig::default().with_max_batch(16));
 
     let q = single_query(5.1);
     let hit = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
@@ -261,12 +244,7 @@ fn drain_fault_degrades_one_flush_and_the_service_recovers() {
 #[test]
 fn leaf_dispatch_fault_surfaces_through_the_service() {
     let _guard = faultpoint::arm(FaultPlan::new().fail(points::ENGINE_LEAF_DISPATCH, 1));
-    let service = service_over(
-        64,
-        ServiceConfig::default()
-            .with_max_batch(16)
-            .with_max_delay(Duration::from_millis(2)),
-    );
+    let service = service_over(64, ServiceConfig::default().with_max_batch(16));
 
     let q = single_query(9.2);
     let hit = service.submit(&QueryRequest::knn(&q, 2)).unwrap();
@@ -288,18 +266,17 @@ fn leaf_dispatch_fault_surfaces_through_the_service() {
 /// work afterwards.
 #[test]
 fn scheduler_panic_restarts_and_the_service_keeps_serving() {
-    let guard = faultpoint::arm(FaultPlan::new().panic(points::SERVICE_DRAIN, 1));
-    let service = service_over(
-        64,
-        ServiceConfig::default()
-            .with_max_batch(1024)
-            .with_max_delay(Duration::from_millis(20)),
-    );
+    // the bait's flush is hit 1; the flush behind it panics
+    let guard = faultpoint::arm(FaultPlan::new().panic(points::SERVICE_DRAIN, 2));
+    let (gate, service) = gated_service_over(64, ServiceConfig::default());
+    let bait = park_scheduler(&gate, &service);
 
     let q = single_query(4.4);
     // two submissions coalesced into the flush that panics
     let a = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
     let b = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
+    gate.open_gate();
+    bait.wait().unwrap();
     for (name, t) in [("a", a), ("b", b)] {
         match t.wait() {
             Err(PandaError::BackendPanicked(msg)) => {
@@ -328,12 +305,7 @@ fn repeated_scheduler_panics_stay_supervised() {
     let guard = faultpoint::arm(
         FaultPlan::new().with(FaultSpec::new(points::SERVICE_DRAIN, FaultAction::Panic).times(3)),
     );
-    let service = service_over(
-        64,
-        ServiceConfig::default()
-            .with_max_batch(16)
-            .with_max_delay(Duration::from_millis(2)),
-    );
+    let service = service_over(64, ServiceConfig::default().with_max_batch(16));
     let q = single_query(2.9);
     for _ in 0..3 {
         let t = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
@@ -344,6 +316,74 @@ fn repeated_scheduler_panics_stay_supervised() {
     assert_eq!(t.wait().unwrap().row(0)[0].id, 3);
     assert_eq!(service.stats().scheduler_restarts, 3);
     service.shutdown();
+}
+
+/// No lost wake-up across a restart: what sits in the queue while the
+/// supervisor backs off woke nobody (there was no scheduler to wake),
+/// so the restarted incarnation must pick it up unprompted — and the
+/// submit-then-wait traffic that follows, which puts the scheduler to
+/// sleep and wakes it again on every request, must all resolve exactly.
+#[test]
+fn restarted_scheduler_picks_up_the_backlog_unprompted() {
+    const BACKLOG: usize = 20;
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 2000;
+    let nearest = |reply: &TicketReply| (reply.row(0)[0].id, reply.row(0)[0].dist_sq.to_bits());
+    let oracle = KnnIndex::build(&line_points(4096), &TreeConfig::default()).unwrap();
+    let direct = |x: f32| {
+        let r = oracle
+            .query_session(&QueryRequest::knn(&single_query(x), 1))
+            .unwrap();
+        (
+            r.neighbors.row(0)[0].id,
+            r.neighbors.row(0)[0].dist_sq.to_bits(),
+        )
+    };
+    for max_batch in [1usize, 8] {
+        // the bait's flush is hit 1; the flush behind it panics
+        let _guard = faultpoint::arm(FaultPlan::new().panic(points::SERVICE_DRAIN, 2));
+        let (gate, service) =
+            gated_service_over(4096, ServiceConfig::default().with_max_batch(max_batch));
+        let bait = park_scheduler(&gate, &service);
+        let backlog: Vec<Ticket> = (0..BACKLOG)
+            .map(|i| {
+                let q = single_query(i as f32 + 0.3);
+                service.submit(&QueryRequest::knn(&q, 1)).unwrap()
+            })
+            .collect();
+        gate.open_gate();
+        bait.wait().unwrap();
+        // The doomed flush took the first `max_batch` of the backlog;
+        // the rest waits out the back-off with nobody submitting.
+        for (i, ticket) in backlog.into_iter().enumerate() {
+            match (i < max_batch, common::wait(ticket)) {
+                (true, Err(PandaError::BackendPanicked(_))) => {}
+                (false, Ok(reply)) => assert_eq!(nearest(&reply), direct(i as f32 + 0.3)),
+                (_, other) => panic!("max_batch {max_batch} backlog {i}: {other:?}"),
+            }
+        }
+        assert_eq!(service.stats().scheduler_restarts, 1);
+
+        std::thread::scope(|scope| {
+            for c in 0..CLIENTS {
+                let handle = service.handle();
+                let direct = &direct;
+                scope.spawn(move || {
+                    for r in 0..PER_CLIENT {
+                        let x = ((c * PER_CLIENT + r) % 4096) as f32 + 0.4;
+                        let q = single_query(x);
+                        let ticket = handle.submit(&QueryRequest::knn(&q, 1)).unwrap();
+                        let reply = common::wait(ticket).unwrap();
+                        assert_eq!(nearest(&reply), direct(x), "client {c} request {r}");
+                    }
+                });
+            }
+        });
+        let stats = service.stats();
+        assert_eq!(stats.scheduler_restarts, 1);
+        assert_eq!(stats.queue_depth, 0);
+        service.shutdown();
+    }
 }
 
 // ------------------------------------------------------------------ comm
@@ -580,7 +620,7 @@ fn shard_panic_mid_batch_is_typed_and_the_worker_restarts() {
     );
     let service = QueryService::new(
         Arc::clone(&sharded) as Arc<dyn NnBackend + Send + Sync>,
-        ServiceConfig::default().with_max_delay(Duration::from_millis(2)),
+        ServiceConfig::default(),
     )
     .unwrap();
 

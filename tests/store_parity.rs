@@ -298,9 +298,7 @@ fn store_serves_behind_query_service_under_concurrent_writes() {
     let store = MutableIndex::from_points(&seed_points, cfg).unwrap();
     let service = QueryService::new(
         Arc::new(store.clone()),
-        ServiceConfig::default()
-            .with_max_batch(16)
-            .with_max_delay(Duration::from_micros(200)),
+        ServiceConfig::default().with_max_batch(16),
     )
     .unwrap();
 
@@ -333,10 +331,17 @@ fn store_serves_behind_query_service_under_concurrent_writes() {
     let clients: Vec<_> = (0..4u64)
         .map(|c| {
             let handle = service.handle();
+            let store = store.clone();
             let universe = universe.clone();
             std::thread::spawn(move || {
                 let mut rng = Rng(0x1111 + c);
-                for _ in 0..40 {
+                // Keep reading until the writer's churn has compacted at
+                // least once, so reads provably overlapped a tree swap.
+                // The bound is not a target: hitting it fails the test.
+                let mut asked = 0;
+                while asked < 40 || store.stats().compactions == 0 {
+                    asked += 1;
+                    assert!(asked <= 1_000_000, "writer churn never compacted");
                     let q = PointSet::from_coords(dims, (0..dims).map(|_| rng.f32()).collect())
                         .unwrap();
                     let ticket = handle.submit(&QueryRequest::knn(&q, 3)).unwrap();

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use panda::core::faultpoint::{self, points};
 use panda::obs::{self, Stage};
@@ -323,13 +323,7 @@ fn unsampled_tracing_overhead_is_under_two_percent() {
 
     // One smoke query's wall time through the real service path.
     let backend = Arc::new(KnnIndex::build(&line_points(4096), &TreeConfig::default()).unwrap());
-    let service = QueryService::new(
-        backend,
-        ServiceConfig::default()
-            .with_max_batch(64)
-            .with_max_delay(Duration::from_micros(100)),
-    )
-    .unwrap();
+    let service = QueryService::new(backend, ServiceConfig::default().with_max_batch(64)).unwrap();
     let queries = 512usize;
     let t1 = Instant::now();
     for i in 0..queries {
