@@ -113,7 +113,8 @@ fn bench_leaf_kernel_fused(c: &mut Criterion) {
     g.finish();
 }
 
-/// Input-order vs Morton-order batched querying on clustered data.
+/// Default-order vs Input-order vs Morton-order batched querying on
+/// uniform data (the default runs the locality rule).
 fn bench_query_order(c: &mut Criterion) {
     let mut g = c.benchmark_group("query_batch_order");
     let mut rng = SplitRng::new(99);
@@ -127,13 +128,18 @@ fn bench_query_order(c: &mut Criterion) {
         .collect();
     let queries = PointSet::from_coords(dims, qcoords).unwrap();
     let idx = KnnIndex::build(&ps, &TreeConfig::default()).unwrap();
-    for (name, order) in [("input", QueryOrder::Input), ("morton", QueryOrder::Morton)] {
+    for (name, order) in [
+        ("default", None),
+        ("input", Some(QueryOrder::Input)),
+        ("morton", Some(QueryOrder::Morton)),
+    ] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let res = idx
-                    .query_session(&QueryRequest::knn(black_box(&queries), 5).with_order(order))
-                    .unwrap();
-                black_box(res.len())
+                let mut req = QueryRequest::knn(black_box(&queries), 5);
+                if let Some(order) = order {
+                    req = req.with_order(order);
+                }
+                black_box(idx.query_session(&req).unwrap().len())
             })
         });
     }

@@ -76,17 +76,23 @@ pub enum BoundMode {
     PaperScalar,
 }
 
-/// Order in which a query batch is executed (results are always returned
-/// in input order; this only affects locality, never values).
+/// Order in which a query batch is executed. Results are returned in
+/// input order and are identical under either variant — ids, distances
+/// and work counters alike; the order affects locality only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum QueryOrder {
     /// Run queries exactly as given.
-    #[default]
     Input,
-    /// Sort queries along a Morton (Z-order) curve before dispatch, so
-    /// consecutive queries touch the same tree nodes and leaf buckets —
+    /// Run queries in a spatially coherent order (the default). The batch
+    /// engine decides from the batch itself: a batch of fewer than two
+    /// queries, or one whose input order is already coherent (sampled
+    /// adjacent queries share a Morton cell at least a quarter of the
+    /// time, as in a self-query over data stored cluster by cluster), runs
+    /// as given; any other batch is sorted along a Morton (Z-order) curve
+    /// so consecutive queries touch the same tree nodes and leaf buckets —
     /// the locality-aware batching that ParlayANN-style schedulers use to
-    /// win constant factors. Results are scattered back to input order.
+    /// win constant factors. See [`crate::morton`].
+    #[default]
     Morton,
 }
 
@@ -116,8 +122,6 @@ pub struct TreeConfig {
     pub exact_median_below: usize,
     /// RNG seed for all sampling, making construction deterministic.
     pub seed: u64,
-    /// Default execution order for `KnnIndex::query_session`.
-    pub query_order: QueryOrder,
 }
 
 impl Default for TreeConfig {
@@ -132,7 +136,6 @@ impl Default for TreeConfig {
             parallel: false,
             exact_median_below: 4096,
             seed: 0x9E3779B97F4A7C15,
-            query_order: QueryOrder::default(),
         }
     }
 }
@@ -194,13 +197,6 @@ impl TreeConfig {
         self.seed = s;
         self
     }
-
-    /// Builder-style: set the default batch execution order.
-    #[must_use]
-    pub fn with_query_order(mut self, o: QueryOrder) -> Self {
-        self.query_order = o;
-        self
-    }
 }
 
 /// Distributed query engine parameters (§III-B).
@@ -222,11 +218,11 @@ pub struct QueryConfig {
     /// Initial search radius (`∞` for plain KNN). Squared internally.
     pub initial_radius: f32,
     /// Execution order of each rank's *owned* queries (after routing).
-    /// [`QueryOrder::Morton`] sorts them along a Z-order curve so every
-    /// pipeline step's local KNN and remote request streams touch
-    /// spatially coherent leaves; results are always returned in
-    /// submission order, so this is a locality knob only — it never
-    /// changes values.
+    /// The default [`QueryOrder::Morton`] puts an incoherent owned batch
+    /// in Morton order so every pipeline step's local KNN and remote
+    /// request streams touch spatially coherent leaves, and keeps an
+    /// already coherent one as given; results are always returned in
+    /// submission order, so this affects locality only — never values.
     pub order: QueryOrder,
 }
 
@@ -327,8 +323,7 @@ mod tests {
         assert_eq!(d.global_samples_per_rank, 256);
         let q = QueryConfig::default();
         assert_eq!(q.bound_mode, BoundMode::Exact);
-        assert_eq!(q.order, QueryOrder::Input);
-        assert_eq!(t.query_order, QueryOrder::Input);
+        assert_eq!(q.order, QueryOrder::Morton);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub struct QueryRequest<'a> {
     queries: &'a PointSet,
     k: usize,
     radius: Option<f32>,
-    order: Option<QueryOrder>,
+    order: QueryOrder,
     bound_mode: BoundMode,
     parallel: Option<bool>,
     batch_size: usize,
@@ -54,7 +54,7 @@ impl<'a> QueryRequest<'a> {
             queries,
             k,
             radius: None,
-            order: None,
+            order: defaults.order,
             bound_mode: BoundMode::default(),
             parallel: None,
             batch_size: defaults.batch_size,
@@ -74,11 +74,13 @@ impl<'a> QueryRequest<'a> {
         self
     }
 
-    /// Override the batch execution order (local backends; default: the
-    /// index's configured order).
+    /// Override the batch execution order. The default,
+    /// [`QueryOrder::Morton`], lets the engine pick a spatially coherent
+    /// order for each batch; [`QueryOrder::Input`] runs it exactly as
+    /// given. Either way results are identical.
     #[must_use]
     pub fn with_order(mut self, order: QueryOrder) -> Self {
-        self.order = Some(order);
+        self.order = order;
         self
     }
 
@@ -168,8 +170,8 @@ impl<'a> QueryRequest<'a> {
         self.radius.map_or(f32::INFINITY, |r| r * r)
     }
 
-    /// Requested execution order, if overridden.
-    pub fn order(&self) -> Option<QueryOrder> {
+    /// Requested execution order.
+    pub fn order(&self) -> QueryOrder {
         self.order
     }
 
@@ -226,16 +228,11 @@ impl<'a> QueryRequest<'a> {
     /// config-driven harnesses).
     pub fn from_config(queries: &'a PointSet, cfg: &QueryConfig) -> Self {
         let mut req = Self::knn(queries, cfg.k)
+            .with_order(cfg.order)
             .with_bound_mode(cfg.bound_mode)
             .with_batch_size(cfg.batch_size)
             .with_pipeline(cfg.pipeline)
             .with_bbox_routing(cfg.bbox_routing);
-        // `Input` is the config default; leaving the request's order as
-        // "not overridden" preserves a local index's own configured order
-        // when the same request is replayed against it.
-        if cfg.order != QueryOrder::Input {
-            req = req.with_order(cfg.order);
-        }
         // `+inf` is the config's "no limit" sentinel and maps to no radius;
         // every other value (including NaN / -inf / ≤ 0) is carried over so
         // `validate` rejects exactly what `QueryConfig::validate` rejects.
@@ -254,7 +251,7 @@ impl<'a> QueryRequest<'a> {
             bbox_routing: self.bbox_routing,
             bound_mode: self.bound_mode,
             initial_radius: self.radius.unwrap_or(f32::INFINITY),
-            order: self.order.unwrap_or_default(),
+            order: self.order,
         }
     }
 }
@@ -282,7 +279,7 @@ mod tests {
         assert_eq!(req.k(), 3);
         assert_eq!(req.radius(), Some(2.5));
         assert_eq!(req.radius_sq(), 6.25);
-        assert_eq!(req.order(), Some(QueryOrder::Morton));
+        assert_eq!(req.order(), QueryOrder::Morton);
         assert_eq!(req.bound_mode(), BoundMode::PaperScalar);
         assert_eq!(req.parallel(), Some(true));
         let cfg = req.to_query_config();
@@ -298,19 +295,21 @@ mod tests {
     #[test]
     fn order_round_trips_through_query_config() {
         let queries = qs();
-        // Morton survives the round trip
-        let cfg = QueryConfig {
-            order: QueryOrder::Morton,
-            ..QueryConfig::with_k(2)
-        };
-        let req = QueryRequest::from_config(&queries, &cfg);
-        assert_eq!(req.order(), Some(QueryOrder::Morton));
-        assert_eq!(req.to_query_config(), cfg);
-        // Input (the default) lifts to "no override" so a local index's
-        // configured order still applies on replay
+        // both variants survive the round trip — an explicit `Input` too
+        for order in [QueryOrder::Input, QueryOrder::Morton] {
+            let cfg = QueryConfig {
+                order,
+                ..QueryConfig::with_k(2)
+            };
+            let req = QueryRequest::from_config(&queries, &cfg);
+            assert_eq!(req.order(), order);
+            assert_eq!(req.to_query_config(), cfg);
+        }
+        // the default is the locality order, on both sides
+        assert_eq!(QueryRequest::knn(&queries, 2).order(), QueryOrder::Morton);
         let req = QueryRequest::from_config(&queries, &QueryConfig::with_k(2));
-        assert_eq!(req.order(), None);
-        assert_eq!(req.to_query_config().order, QueryOrder::Input);
+        assert_eq!(req.order(), QueryOrder::Morton);
+        assert_eq!(req.to_query_config(), QueryConfig::with_k(2));
     }
 
     #[test]

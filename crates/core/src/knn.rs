@@ -2,9 +2,11 @@
 //!
 //! Wraps [`LocalKdTree`] with a locality-aware batch engine:
 //! "parallelizing over queries on shared memory is simple" (§V-B2) — the
-//! constant factors are not. The engine optionally reorders the batch
-//! along a Morton curve ([`QueryOrder::Morton`]) so consecutive queries
-//! share tree paths and cached leaf buckets, dispatches in contiguous
+//! constant factors are not. By default ([`QueryOrder::Morton`]) the
+//! engine runs every batch in a spatially coherent order: it keeps a
+//! batch whose input order is already coherent and sorts any other along
+//! a Morton curve (the rule in [`crate::morton`]), so consecutive queries
+//! share tree paths and cached leaf buckets. It dispatches in contiguous
 //! chunks (`with_min_len`) so per-task overhead amortizes and each worker
 //! reuses one [`QueryWorkspace`], and scatters results back to input
 //! order. Every query runs through the fused SIMD leaf kernel inherited
@@ -20,7 +22,7 @@ use crate::engine::{NeighborTable, QueryRequest, QueryResponse};
 use crate::error::{PandaError, Result};
 use crate::heap::{KnnHeap, Neighbor};
 use crate::local_tree::{LocalKdTree, QueryWorkspace};
-use crate::morton::morton_schedule;
+use crate::morton::locality_schedule;
 use crate::point::PointSet;
 
 /// Minimum queries per dispatched chunk: below this, task bookkeeping
@@ -38,7 +40,6 @@ type ChunkResult = (Vec<(u32, u32)>, Vec<Neighbor>, QueryCounters);
 pub struct KnnIndex {
     tree: LocalKdTree,
     parallel: bool,
-    query_order: QueryOrder,
 }
 
 impl KnnIndex {
@@ -48,7 +49,6 @@ impl KnnIndex {
         Ok(Self {
             tree,
             parallel: cfg.parallel,
-            query_order: cfg.query_order,
         })
     }
 
@@ -96,7 +96,7 @@ impl KnnIndex {
             req.queries(),
             req.k(),
             req.radius_sq(),
-            req.order().unwrap_or(self.query_order),
+            req.order(),
             req.bound_mode(),
             req.parallel().unwrap_or(self.parallel),
         )?;
@@ -132,10 +132,12 @@ impl KnnIndex {
         }
         crate::faultpoint::maybe_fail(crate::faultpoint::points::ENGINE_LEAF_DISPATCH)?;
         let n = queries.len();
-        let schedule: Vec<u32> = match order {
-            QueryOrder::Input => (0..n as u32).collect(),
-            QueryOrder::Morton => morton_schedule(queries),
+        // `None` runs the batch as given.
+        let schedule = match order {
+            QueryOrder::Input => None,
+            QueryOrder::Morton => locality_schedule(queries.dims(), queries.coords()),
         };
+        let slot = |j: u32| schedule.as_ref().map_or(j, |s| s[j as usize]);
         // Each worker owns ONE reusable heap + workspace + arena for its
         // whole chunk: a query appends its sorted neighbors to the arena
         // and records `(input slot, count)`.
@@ -154,7 +156,7 @@ impl KnnIndex {
         };
         let chunks: Vec<ChunkResult> = if parallel {
             // Contiguous chunks of the (possibly reordered) schedule.
-            schedule
+            (0..n as u32)
                 .into_par_iter()
                 .with_min_len(MIN_CHUNK)
                 .fold(
@@ -167,8 +169,8 @@ impl KnnIndex {
                             QueryCounters::default(),
                         )
                     },
-                    |(mut runs, mut arena, mut heap, mut ws, mut c), qi| {
-                        run_one(qi, &mut heap, &mut ws, &mut arena, &mut runs, &mut c);
+                    |(mut runs, mut arena, mut heap, mut ws, mut c), j| {
+                        run_one(slot(j), &mut heap, &mut ws, &mut arena, &mut runs, &mut c);
                         (runs, arena, heap, ws, c)
                     },
                 )
@@ -180,8 +182,8 @@ impl KnnIndex {
             let mut heap = KnnHeap::new(k);
             let mut ws = QueryWorkspace::new();
             let mut c = QueryCounters::default();
-            for &qi in &schedule {
-                run_one(qi, &mut heap, &mut ws, &mut arena, &mut runs, &mut c);
+            for j in 0..n as u32 {
+                run_one(slot(j), &mut heap, &mut ws, &mut arena, &mut runs, &mut c);
             }
             vec![(runs, arena, c)]
         };
@@ -238,7 +240,7 @@ impl KnnIndex {
             points,
             k + 1,
             f32::INFINITY,
-            self.query_order,
+            QueryOrder::default(),
             BoundMode::Exact,
             self.parallel,
         )?;
@@ -464,55 +466,91 @@ mod tests {
         ));
     }
 
+    /// A batch as comparable rows: `(id, distance bits)` per neighbor.
+    fn rows(res: &QueryResponse) -> Vec<Vec<(u64, u32)>> {
+        res.neighbors
+            .iter()
+            .map(|row| row.iter().map(|n| (n.id, n.dist_sq.to_bits())).collect())
+            .collect()
+    }
+
+    /// Site `i mod 125` of a 5 × 5 × 5 lattice: a source of exact copies.
+    fn lattice_site(i: u64) -> [f32; 3] {
+        let site = i % 125;
+        [site % 5, (site / 5) % 5, site / 25].map(|x| x as f32 * 20.0)
+    }
+
+    /// The batch shapes the locality rule tells apart, 5,000 queries each:
+    /// shuffled, already Morton-sorted, clumped (cluster by cluster) and
+    /// duplicate-heavy (lattice sites, each repeated).
+    fn order_parity_batches() -> Vec<(&'static str, PointSet)> {
+        let shuffled = random_ps(5000, 3, 41);
+        let presorted = shuffled.select(&crate::morton::morton_schedule(&shuffled));
+        let mut rng = SplitRng::new(42);
+        let mut clumped = Vec::with_capacity(5000 * 3);
+        for _ in 0..50 {
+            let c = [0; 3].map(|_| rng.next_f64() * 100.0);
+            for _ in 0..100 {
+                clumped.extend(c.map(|x| (x + rng.next_f64()) as f32));
+            }
+        }
+        let lattice = (0..5000).flat_map(|i| lattice_site(i / 4)).collect();
+        vec![
+            ("shuffled", shuffled),
+            ("presorted", presorted),
+            ("clumped", PointSet::from_coords(3, clumped).unwrap()),
+            ("duplicates", PointSet::from_coords(3, lattice).unwrap()),
+        ]
+    }
+
     #[test]
-    fn morton_order_matches_input_order_exactly() {
-        let ps = random_ps(4000, 3, 31);
-        let queries = random_ps(500, 3, 32);
+    fn every_order_gives_identical_results_and_counters() {
+        // the index holds exact copies too, so ties are decided by the
+        // traversal — which the batch order must not influence
+        let mut ps = random_ps(3000, 3, 40);
+        for i in 0..1000 {
+            ps.push(&lattice_site(i), 10_000 + i);
+        }
         for parallel in [false, true] {
             let cfg = TreeConfig::default()
                 .with_parallel(parallel)
                 .with_threads(2);
             let idx = KnnIndex::build(&ps, &cfg).unwrap();
-            let a = idx
-                .query_session(&QueryRequest::knn(&queries, 5).with_order(QueryOrder::Input))
-                .unwrap();
-            let b = idx
-                .query_session(&QueryRequest::knn(&queries, 5).with_order(QueryOrder::Morton))
-                .unwrap();
-            assert_eq!(a.len(), b.len());
-            for (i, (x, y)) in a.neighbors.iter().zip(b.neighbors.iter()).enumerate() {
-                let dx: Vec<(f32, u64)> = x.iter().map(|n| (n.dist_sq, n.id)).collect();
-                let dy: Vec<(f32, u64)> = y.iter().map(|n| (n.dist_sq, n.id)).collect();
-                assert_eq!(dx, dy, "query {i} parallel={parallel}");
+            for (shape, batch) in order_parity_batches() {
+                for n in [0u32, 1, 2, 65, 5000] {
+                    let queries = batch.select(&(0..n).collect::<Vec<u32>>());
+                    let req = QueryRequest::knn(&queries, 5);
+                    let default = idx.query_session(&req).unwrap();
+                    for order in [QueryOrder::Input, QueryOrder::Morton] {
+                        let other = idx.query_session(&req.with_order(order)).unwrap();
+                        let at = format!("{shape} n={n} {order:?} parallel={parallel}");
+                        assert_eq!(rows(&default), rows(&other), "{at}");
+                        // each query's traversal is independent of execution
+                        // order, so the aggregate work is identical too
+                        assert_eq!(default.counters, other.counters, "{at}");
+                    }
+                    assert_eq!(default.len(), n as usize);
+                }
             }
-            // each query's traversal is independent of execution order, so
-            // the aggregate work must be identical too
-            assert_eq!(a.counters, b.counters, "parallel={parallel}");
         }
     }
 
     #[test]
-    fn configured_query_order_is_used_by_default() {
+    fn default_order_is_the_locality_order() {
         let ps = random_ps(2000, 3, 33);
         let queries = random_ps(200, 3, 34);
-        let idx = KnnIndex::build(
-            &ps,
-            &TreeConfig::default().with_query_order(QueryOrder::Morton),
-        )
-        .unwrap();
-        let a = idx
-            .query_session(&QueryRequest::knn(&queries, 3))
-            .unwrap()
-            .neighbors;
+        let idx = KnnIndex::build(&ps, &TreeConfig::default()).unwrap();
+        // a request that names no order runs under the locality rule ...
+        let req = QueryRequest::knn(&queries, 3);
+        assert_eq!(req.order(), QueryOrder::Morton);
+        assert_eq!(req.to_query_config().order, QueryOrder::Morton);
+        // ... which sorts this shuffled batch, invisibly to the caller
+        assert!(locality_schedule(3, queries.coords()).is_some());
+        let a = idx.query_session(&req).unwrap();
         let b = idx
-            .query_session(&QueryRequest::knn(&queries, 3).with_order(QueryOrder::Input))
-            .unwrap()
-            .neighbors;
-        for (x, y) in a.iter().zip(b.iter()) {
-            let dx: Vec<(f32, u64)> = x.iter().map(|n| (n.dist_sq, n.id)).collect();
-            let dy: Vec<(f32, u64)> = y.iter().map(|n| (n.dist_sq, n.id)).collect();
-            assert_eq!(dx, dy);
-        }
+            .query_session(&req.with_order(QueryOrder::Input))
+            .unwrap();
+        assert_eq!(rows(&a), rows(&b));
     }
 
     #[test]

@@ -49,10 +49,11 @@
 //!   record instead of a 64-byte side-array copy, and popping rewinds an
 //!   undo log to restore the exact path state. Workspaces are fully
 //!   reusable across queries and trees.
-//! * **Locality-aware batching** ([`knn::KnnIndex::query_session`]) — a
-//!   batch can be executed in Morton (Z-order) order
-//!   ([`config::QueryOrder`], or per-request via
-//!   [`engine::QueryRequest::with_order`]) so consecutive queries share
+//! * **Locality-aware batching** ([`knn::KnnIndex::query_session`]) — by
+//!   default a batch runs in a spatially coherent order: one already
+//!   coherent runs as given, any other in Morton (Z-order) order
+//!   ([`config::QueryOrder`], [`morton`]; per-request override via
+//!   [`engine::QueryRequest::with_order`]), so consecutive queries share
 //!   tree paths and warm leaf buckets, dispatched in contiguous chunks
 //!   with a minimum chunk length; results land in a flat CSR
 //!   [`engine::NeighborTable`] in input order — workers fill chunk-local

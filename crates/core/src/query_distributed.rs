@@ -21,8 +21,9 @@
 //!
 //! The engine is **CSR-native and locality-aware** end to end:
 //!
-//! * Owned queries are optionally re-sorted along a Morton curve after
-//!   routing ([`crate::config::QueryConfig::order`]), so each pipeline
+//! * Owned queries are re-sorted along a Morton curve after routing
+//!   unless they already arrive coherent (the default
+//!   [`crate::config::QueryConfig::order`]), so each pipeline
 //!   step's local KNN and remote request streams touch spatially coherent
 //!   leaves; results are always scattered back to submission order.
 //! * Per-step heaps and the per-destination send buffers are persistent
@@ -50,7 +51,7 @@ use crate::error::{PandaError, Result};
 use crate::faultpoint::{self, points};
 use crate::heap::{KnnHeap, Neighbor};
 use crate::local_tree::QueryWorkspace;
-use crate::morton::morton_schedule_coords;
+use crate::morton::locality_schedule;
 use crate::point::PointSet;
 use crate::timers::{QueryBreakdown, StepTiming};
 
@@ -182,11 +183,14 @@ impl Owned {
 
     /// Re-sort the owned queries along a Morton curve so consecutive
     /// queries (and therefore each pipeline batch) are spatially
-    /// coherent. Results are keyed by qid, so the permutation is
-    /// invisible to callers — submission order is restored when results
-    /// return to their origins.
+    /// coherent — unless they already are, or there are fewer than two
+    /// (the rule in [`crate::morton`]). Results are keyed by qid, so the
+    /// permutation is invisible to callers — submission order is restored
+    /// when results return to their origins.
     fn reorder_morton(&mut self, dims: usize) {
-        let schedule = morton_schedule_coords(dims, &self.coords);
+        let Some(schedule) = locality_schedule(dims, &self.coords) else {
+            return;
+        };
         let mut coords = Vec::with_capacity(self.coords.len());
         let mut qids = Vec::with_capacity(self.qids.len());
         for &s in &schedule {
@@ -260,11 +264,11 @@ pub(crate) fn owned_pipeline(
     let mut remote = RemoteStats::default();
     let mut ws = QueryWorkspace::new();
 
-    // Locality pass: sort the owned queries along the Morton curve so
+    // Locality pass: put incoherent owned queries in Morton order so
     // every batch (and its request streams) touches coherent leaves. The
     // O(n log n) key sort is negligible next to traversal and is not
     // charged to the virtual clock.
-    if cfg.order == QueryOrder::Morton && owned.len() > 1 {
+    if cfg.order == QueryOrder::Morton {
         owned.reorder_morton(dims);
     }
     remote.owned_queries = owned.len() as u64;
@@ -984,7 +988,7 @@ mod tests {
         }
     }
 
-    /// Morton execution order is a locality knob only: results must be
+    /// Morton execution order is locality only: results must be
     /// bit-identical to input order and exact vs brute force.
     #[test]
     fn morton_order_is_bit_identical_and_exact() {
@@ -1001,6 +1005,7 @@ mod tests {
                 &QueryConfig {
                     k: 5,
                     batch_size: 16,
+                    order: crate::config::QueryOrder::Input,
                     ..QueryConfig::default()
                 },
             )

@@ -1,6 +1,6 @@
 //! Service tuning knobs: batch cap, queue bounds, overflow policy.
 
-use panda_core::{PandaError, QueryOrder, Result};
+use panda_core::{PandaError, Result};
 
 /// What `submit` does when the bounded queue is full.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -42,12 +42,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Behavior when the queue is full.
     pub overflow: OverflowPolicy,
-    /// Execution order for each coalesced batch. The default `Morton`
-    /// re-sorts every micro-batch along the Z-order curve — the whole
-    /// point of coalescing: queries from unrelated clients share tree
-    /// paths and cached leaves. Results are scattered back per client
-    /// regardless, so the knob never changes values.
-    pub order: QueryOrder,
     /// Per-batch override of the backend's thread-parallel execution
     /// (`None` keeps whatever the backend was built with).
     pub parallel: Option<bool>,
@@ -69,7 +63,6 @@ impl Default for ServiceConfig {
             max_batch: 256,
             queue_capacity: 8192,
             overflow: OverflowPolicy::Block,
-            order: QueryOrder::Morton,
             parallel: None,
             cache_capacity: 0,
         }
@@ -95,13 +88,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_overflow(mut self, overflow: OverflowPolicy) -> Self {
         self.overflow = overflow;
-        self
-    }
-
-    /// Set the per-batch execution order.
-    #[must_use]
-    pub fn with_order(mut self, order: QueryOrder) -> Self {
-        self.order = order;
         self
     }
 
@@ -146,12 +132,10 @@ mod tests {
         let cfg = ServiceConfig::default();
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.overflow, OverflowPolicy::Block);
-        assert_eq!(cfg.order, QueryOrder::Morton);
         let cfg = cfg
             .with_max_batch(64)
             .with_queue_capacity(64)
             .with_overflow(OverflowPolicy::Reject)
-            .with_order(QueryOrder::Input)
             .with_parallel(true);
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.max_batch, 64);

@@ -1,9 +1,9 @@
 //! # `panda_service` — concurrent query serving with dynamic micro-batching
 //!
 //! PANDA's throughput comes from **batching**: queries executed together
-//! share tree paths and cached leaves (the Morton-ordered batch engine),
-//! and per-call dispatch overhead amortizes across the batch. But a
-//! process serving many independent clients sees queries one at a time —
+//! share tree paths and cached leaves (the batch engine runs each batch
+//! in a spatially coherent order), and per-call dispatch overhead
+//! amortizes across the batch. But a process serving many independent clients sees queries one at a time —
 //! calling [`NnBackend::query`](panda_core::engine::NnBackend) per
 //! client forfeits all of it.
 //!
@@ -21,8 +21,9 @@
 //!   micro-batch. A lone submission over an idle service runs at once;
 //!   under load, whatever arrived while the previous batch executed
 //!   **coalesces** into the next, so batch size tracks load with no
-//!   delay to tune. It Morton-orders each batch and executes it on the
-//!   persistent worker pool behind the engine's parallel path;
+//!   delay to tune. The backend orders each batch (coalesced traffic
+//!   from unrelated clients is sorted along a Morton curve) and executes
+//!   it on the persistent worker pool behind the engine's parallel path;
 //! * each [`Ticket`] resolves to a [`TicketReply`]: a **zero-copy**
 //!   row-slice into the shared batch response (`Arc`ed CSR
 //!   `NeighborTable`), so scatter-back copies no neighbors;
@@ -65,9 +66,9 @@
 //! The chaos suite (`tests/chaos.rs` at the workspace root) drives all
 //! of these through `panda_core::faultpoint`.
 //!
-//! Exactness is untouched: coalescing and Morton ordering are locality
-//! plays — every client gets bit-identical neighbors to a direct
-//! `query_session` call (pinned by `tests/service_parity.rs`).
+//! Exactness is untouched: coalescing and the backend's batch ordering
+//! are locality plays — every client gets bit-identical neighbors to a
+//! direct `query_session` call (pinned by `tests/service_parity.rs`).
 //!
 //! ## Caching hot queries
 //!

@@ -345,9 +345,7 @@ impl ServiceInner {
                 return;
             }
         };
-        let mut req = QueryRequest::knn(&points, key.k)
-            .with_order(self.cfg.order)
-            .with_bound_mode(key.bound_mode);
+        let mut req = QueryRequest::knn(&points, key.k).with_bound_mode(key.bound_mode);
         if let Some(bits) = key.radius_bits {
             req = req.with_radius(f32::from_bits(bits));
         }
@@ -582,8 +580,9 @@ impl ServiceHandle {
     /// Queue a batch of queries described by `req`; returns immediately
     /// with a [`Ticket`] unless the bounded queue is full (then the
     /// configured [`OverflowPolicy`] applies). The request's `k`,
-    /// radius, and bound mode are honored; its order/parallel knobs are
-    /// service-level configuration and are ignored here.
+    /// radius, and bound mode are honored; its order and parallel knobs
+    /// are ignored here — the backend orders each coalesced batch, and
+    /// parallelism is service-level configuration.
     pub fn submit(&self, req: &QueryRequest<'_>) -> Result<Ticket> {
         self.inner.submit(req)
     }
@@ -615,9 +614,9 @@ impl std::fmt::Debug for ServiceHandle {
 ///
 /// See the crate docs for the execution model; in short: `submit`
 /// enqueues, a dedicated scheduler coalesces the queue into
-/// Morton-ordered micro-batches (whatever queued while the previous
-/// batch ran, capped at `max_batch`; immediately when idle), batches
-/// execute on the persistent worker pool, and each client's
+/// micro-batches (whatever queued while the previous batch ran, capped
+/// at `max_batch`; immediately when idle), the backend orders and
+/// executes each batch on the persistent worker pool, and each client's
 /// ticket resolves to a zero-copy slice of the shared batch response.
 pub struct QueryService {
     inner: Arc<ServiceInner>,

@@ -796,14 +796,12 @@ impl StoreInner {
         let k_tree = k + deleted_tree.len();
         let tree_res = match &gen.index {
             Some(index) => {
-                let mut treq = QueryRequest::knn(req.queries(), k_tree);
+                let mut treq = QueryRequest::knn(req.queries(), k_tree)
+                    .with_order(req.order())
+                    .with_bound_mode(req.bound_mode());
                 if let Some(r) = req.radius() {
                     treq = treq.with_radius(r);
                 }
-                if let Some(o) = req.order() {
-                    treq = treq.with_order(o);
-                }
-                treq = treq.with_bound_mode(req.bound_mode());
                 if let Some(p) = req.parallel() {
                     treq = treq.with_parallel(p);
                 }

@@ -7,8 +7,8 @@
 //! Each client thread plays a user session: submit one small request,
 //! wait for the answer, submit the next. Individually those queries are
 //! too small to batch — the service coalesces them across clients into
-//! Morton-ordered micro-batches, executes each batch on the persistent
-//! worker pool, and hands every client a zero-copy slice of the shared
+//! micro-batches, the backend orders and executes each batch on the
+//! persistent worker pool, and hands every client a zero-copy slice of the shared
 //! response. The run ends with the service's own telemetry: how big the
 //! coalesced batches actually got, and what latency the clients paid.
 

@@ -87,11 +87,11 @@
 //!
 //! One-shot `query` calls forfeit the batching the engine is fast at.
 //! [`QueryService`](prelude::QueryService) recovers it for many
-//! independent clients: submissions are coalesced into Morton-ordered
-//! micro-batches (whatever queued while the previous batch ran, at
-//! once when the service is idle) executed on the persistent worker
-//! pool, and every client gets a zero-copy slice of the shared batch
-//! response. This closed loop is the shape of the
+//! independent clients: submissions are coalesced into micro-batches
+//! (whatever queued while the previous batch ran, at once when the
+//! service is idle) that the backend orders and executes on the
+//! persistent worker pool, and every client gets a zero-copy slice of
+//! the shared batch response. This closed loop is the shape of the
 //! benchmark's `serve_hotspot` workload (`benchmark/README.md`):
 //!
 //! ```
@@ -260,15 +260,17 @@
 //!
 //! ### Locality on the distributed path
 //!
-//! `QueryRequest::with_order(QueryOrder::Morton)` is honored by the
-//! distributed pipeline too (both [`ShardedIndex`](prelude::ShardedIndex)
-//! and the SPMD `query_distributed`): after queries are routed to
-//! their owning shards, each re-sorts its *owned* queries along a
-//! Morton (Z-order) curve, so every pipeline step's local KNN and remote
-//! request streams touch spatially coherent leaves. Results always come
-//! back in submission order — the knob changes locality, never values
-//! (`tests/dist_order_parity.rs` pins bit-identical results under skewed
-//! query distributions). The distributed engine is CSR-native end to
+//! The distributed pipeline runs in the same locality order by default as
+//! the local engine (both [`ShardedIndex`](prelude::ShardedIndex) and the
+//! SPMD `query_distributed`): after queries are routed to their owning
+//! shards, each puts its *owned* queries in Morton (Z-order) order —
+//! unless they already arrive coherent — so every pipeline step's local
+//! KNN and remote request streams touch spatially coherent leaves.
+//! `QueryRequest::with_order(QueryOrder::Input)` opts out. Results always
+//! come back in submission order — the order changes locality, never
+//! values (`tests/dist_order_parity.rs` pins bit-identical results under
+//! the default order on 1 and 2 shards and under skewed query
+//! distributions). The distributed engine is CSR-native end to
 //! end: responses are assembled directly into the flat
 //! [`NeighborTable`](prelude::NeighborTable) with no nested
 //! `Vec<Vec<Neighbor>>` intermediate (the `sharded2` workload of
@@ -332,7 +334,8 @@
 //!
 //! The 0.1 tuple methods (`query_batch`, `query_batch_ordered`, the
 //! free `query_distributed`, the baselines' `query_batch`s) survived
-//! one release as `#[deprecated]` shims and are now **removed**:
+//! one release as `#[deprecated]` shims and are now **removed**, as are
+//! the two order knobs the engine now decides for itself (last rows):
 //!
 //! | old (0.1, removed) | new |
 //! |---|---|
@@ -344,6 +347,8 @@
 //! | `results[i]` (a `Vec<Neighbor>`) | `res.neighbors.row(i)` (a `&[Neighbor]` into one arena) |
 //! | `QueryConfig { initial_radius, .. }` | `QueryRequest::with_radius` (validated: positive finite) |
 //! | `radius_search_distributed(..)` → `Vec<Vec<Neighbor>>` | same call → flat CSR `NeighborTable` |
+//! | `TreeConfig::default().with_query_order(order)` | nothing: the engine picks the order (`QueryRequest::with_order` still overrides one request) |
+//! | `ServiceConfig::default().with_order(order)` | nothing: the backend orders each coalesced batch |
 
 #![warn(missing_docs)]
 

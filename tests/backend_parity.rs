@@ -54,13 +54,10 @@ fn assert_ids_honest(res: &QueryResponse, points: &PointSet, queries: &PointSet,
 /// through the trait's associated `build`.
 fn single_node_backends(points: &PointSet) -> Vec<Box<dyn NnBackend>> {
     let cfg = TreeConfig::default();
-    let parallel_morton = TreeConfig::default()
-        .with_parallel(true)
-        .with_threads(2)
-        .with_query_order(QueryOrder::Morton);
+    let parallel = TreeConfig::default().with_parallel(true).with_threads(2);
     vec![
         Box::new(KnnIndex::build(points, &cfg).unwrap()),
-        Box::new(KnnIndex::build(points, &parallel_morton).unwrap()),
+        Box::new(KnnIndex::build(points, &parallel).unwrap()),
         Box::new(BruteForce::build(points, &cfg).unwrap()),
         Box::new(FlannLikeTree::build(points).unwrap()),
         Box::new(AnnLikeTree::build(points).unwrap()),

@@ -1,11 +1,13 @@
-//! Distributed Morton-vs-Input parity under skewed query distributions.
+//! Distributed execution-order parity: the default order, `Morton` and
+//! `Input`, under skewed query distributions.
 //!
-//! `QueryOrder::Morton` on the distributed path re-sorts each rank's
-//! *owned* queries along a Z-order curve after routing. That is a
-//! locality knob only: results must stay bit-identical to input order
-//! (same ids, same distances, same CSR layout) and the remote traffic
-//! must never increase — per-query bounds are computed independently, so
-//! the fan-out is the same set of (query, rank) pairs in both orders.
+//! `QueryOrder::Morton` — the default — on the distributed path re-sorts
+//! each rank's *owned* queries along a Z-order curve after routing
+//! (unless they already arrive coherent). That is locality only: results
+//! must stay bit-identical to input order (same ids, same distances, same
+//! CSR layout) and the remote traffic must never increase — per-query
+//! bounds are computed independently, so the fan-out is the same set of
+//! (query, rank) pairs in both orders.
 
 use panda::comm::{run_cluster, ClusterConfig};
 use panda::core::KnnHeap;
@@ -21,6 +23,14 @@ fn random_ps(n: usize, dims: usize, seed: u64) -> PointSet {
             .collect(),
     )
     .unwrap()
+}
+
+/// Rows as `(id, distance bits)`, in submission order.
+fn rows(table: &NeighborTable) -> Vec<Vec<(u64, u32)>> {
+    table
+        .iter()
+        .map(|row| row.iter().map(|n| (n.id, n.dist_sq.to_bits())).collect())
+        .collect()
 }
 
 /// One collective query per order; returns, per rank, the rows
@@ -167,12 +177,6 @@ fn sharded_skewed_ownership_matches_single_shard() {
     )
     .unwrap();
     let req = QueryRequest::knn(&queries, 8).with_batch_size(3); // batch < k
-    let rows = |table: &NeighborTable| -> Vec<Vec<(u64, u32)>> {
-        table
-            .iter()
-            .map(|row| row.iter().map(|n| (n.id, n.dist_sq.to_bits())).collect())
-            .collect()
-    };
     let single = ShardedIndex::build(&all, 1, &DistConfig::default()).unwrap();
     let sharded = ShardedIndex::build(&all, 4, &DistConfig::default()).unwrap();
     let a = single.query(&req).expect("single-shard query");
@@ -183,6 +187,39 @@ fn sharded_skewed_ownership_matches_single_shard() {
     let l = local.query_session(&req).expect("local query");
     assert_eq!(rows(&l.neighbors), rows(&b.neighbors));
     assert_eq!(sharded.shard_restarts(), 0);
+}
+
+/// The default order (no override: the locality rule) through the
+/// sharded front handle on 1 and 2 shards is bit-identical, ids
+/// included, to explicit `Input` and `Morton` and to the local engine —
+/// for a shuffled batch (which the rule sorts) and a Morton-presorted
+/// one (which it may keep as given).
+#[test]
+fn sharded_default_order_matches_explicit_orders() {
+    let all = random_ps(3000, 3, 80);
+    let shuffled = random_ps(500, 3, 81);
+    let presorted = shuffled.select(&panda::core::morton::morton_schedule(&shuffled));
+    let local = KnnIndex::build(&all, &TreeConfig::default()).unwrap();
+    for shards in [1, 2] {
+        let index = ShardedIndex::build(&all, shards, &DistConfig::default()).unwrap();
+        for (name, queries) in [("shuffled", &shuffled), ("presorted", &presorted)] {
+            let req = QueryRequest::knn(queries, 6);
+            let default = rows(&index.query(&req).expect("default order").neighbors);
+            for order in [QueryOrder::Input, QueryOrder::Morton] {
+                let explicit = index.query(&req.with_order(order)).expect("explicit order");
+                assert_eq!(
+                    default,
+                    rows(&explicit.neighbors),
+                    "{name}, {shards} shard(s), {order:?}"
+                );
+            }
+            let l = local
+                .query_session(&req.with_order(QueryOrder::Input))
+                .expect("local query");
+            assert_eq!(default, rows(&l.neighbors), "{name}, {shards} shard(s)");
+        }
+        assert_eq!(index.shard_restarts(), 0);
+    }
 }
 
 /// Morton-ordered distributed results are still exact vs brute force

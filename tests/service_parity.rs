@@ -1,9 +1,9 @@
 //! End-to-end tests of the concurrent query service.
 //!
 //! The load-bearing claim: coalescing many clients' interleaved singles
-//! into Morton-ordered micro-batches is a pure locality play — every
-//! client gets **bit-identical** neighbors to a direct `query_session`
-//! call over the same points. Plus the scheduling policy (a free
+//! into micro-batches that the backend orders for locality changes no
+//! value — every client gets **bit-identical** neighbors to a direct
+//! `query_session` call over the same points. Plus the scheduling policy (a free
 //! scheduler takes whatever is queued, up to `max_batch`) and the
 //! lifecycle contracts: `drain` resolves everything, shutdown is
 //! graceful, and the bounded queue rejects (or blocks) exactly as
