@@ -314,6 +314,12 @@ impl SimpleKdTree {
         let t0 = std::time::Instant::now();
         req.validate()?;
         let queries = req.queries();
+        if queries.dims() != self.dims() {
+            return Err(PandaError::DimsMismatch {
+                expected: self.dims(),
+                got: queries.dims(),
+            });
+        }
         let (k, r_sq) = (req.k(), req.radius_sq());
         let mut counters = QueryCounters::default();
         let mut table = NeighborTable::with_capacity(queries.len(), k);

@@ -4,9 +4,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use panda_comm::{run_cluster, ClusterConfig, ReduceOp};
 use panda_core::build_distributed::build_distributed;
-use panda_core::engine::QueryRequest;
 use panda_core::query_distributed::query_distributed;
-use panda_core::DistConfig;
+use panda_core::{DistConfig, QueryConfig};
 use panda_data::{queries_from, scatter, uniform};
 
 fn bench_collectives(c: &mut Criterion) {
@@ -52,8 +51,8 @@ fn bench_end_to_end(c: &mut Criterion) {
                     let mine = scatter(&points, comm.rank(), comm.size());
                     let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
                     let myq = scatter(&queries, comm.rank(), comm.size());
-                    let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-                    let res = query_distributed(comm, &tree, &myq, &qcfg).unwrap();
+                    let res =
+                        query_distributed(comm, &tree, &myq, &QueryConfig::with_k(5)).unwrap();
                     res.neighbors.len()
                 });
                 black_box(out.len())

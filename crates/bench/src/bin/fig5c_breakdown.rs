@@ -37,7 +37,7 @@ fn main() {
         let mut cfg = RunConfig::edison(args.usize("ranks", 16));
         cfg.query.k = row.k;
         let m = run_distributed(&points, &queries, &cfg, false);
-        let v = m.query_breakdown.figure_values(true);
+        let v = m.query_breakdown.figure_values();
         let total: f64 = v.iter().sum();
         columns.push(v.map(|x| 100.0 * x / total.max(1e-30)));
         fanouts.push(m.remote.avg_remote_fanout());

@@ -12,9 +12,8 @@ use panda_bench::Args;
 use panda_comm::{run_cluster, ClusterConfig, MachineProfile};
 use panda_core::build_distributed::build_distributed;
 use panda_core::classify::{majority_vote, weighted_vote, ConfusionMatrix};
-use panda_core::engine::QueryRequest;
 use panda_core::query_distributed::query_distributed;
-use panda_core::DistConfig;
+use panda_core::{DistConfig, QueryConfig};
 use panda_data::dayabay::{self, DayaBayParams};
 use panda_data::scatter;
 
@@ -41,8 +40,7 @@ fn main() {
         let mine = scatter(&train, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&test, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, k).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let res = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(k)).expect("query");
         // classify locally; return (truth, majority, weighted) triples
         (0..myq.len())
             .map(|i| {

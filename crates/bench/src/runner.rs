@@ -169,7 +169,7 @@ pub fn run_distributed(
         .fold(0.0, f64::max);
     let query_s = outcomes
         .iter()
-        .map(|o| o.result.query_breakdown.total(qcfg.pipeline))
+        .map(|o| o.result.query_breakdown.total_pipelined())
         .fold(0.0, f64::max);
 
     let mut build_breakdown = BuildBreakdown::default();

@@ -378,13 +378,11 @@ pub fn build_distributed(
         }
     }
     let mut global = GlobalKdTree::from_splits(dims, p, &flat);
-    if cfg.gather_rank_bboxes {
-        let bb = my
-            .bounding_box()
-            .unwrap_or_else(|| BoundingBox::empty(dims));
-        let boxes = comm.world().allgather(vec![bb]);
-        global.set_rank_bboxes(boxes.into_iter().map(|mut v| v.remove(0)).collect());
-    }
+    let bb = my
+        .bounding_box()
+        .unwrap_or_else(|| BoundingBox::empty(dims));
+    let boxes = comm.world().allgather(vec![bb]);
+    global.set_rank_bboxes(boxes.into_iter().map(|mut v| v.remove(0)).collect());
     breakdown.global_tree += comm.now() - t0;
 
     // ---- local tree ----------------------------------------------------

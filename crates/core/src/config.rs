@@ -63,6 +63,9 @@ pub enum HistScan {
 }
 
 /// Lower-bound computation used while traversing the tree (Algorithm 1).
+/// Only [`crate::LocalKdTree::query_into`] takes it, for the fidelity
+/// ablation; every engine above the tree traverses with
+/// [`BoundMode::Exact`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BoundMode {
     /// Exact incremental bound with per-dimension side distances
@@ -199,7 +202,12 @@ impl TreeConfig {
     }
 }
 
-/// Distributed query engine parameters (§III-B).
+/// Parameters of the SPMD distributed query driver
+/// ([`crate::query_distributed::query_distributed`], §III-B), where every
+/// rank calls the driver in lockstep. The engine always traverses with the
+/// exact bound and refines remote-rank selection with the per-rank
+/// bounding boxes; only what a query asks for, plus the pipeline step
+/// size, is configurable.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueryConfig {
     /// Number of nearest neighbors.
@@ -207,14 +215,6 @@ pub struct QueryConfig {
     /// Queries processed per pipeline step on each rank (paper: batching
     /// for load balance and throughput).
     pub batch_size: usize,
-    /// Model software pipelining (overlap of communication with the
-    /// compute of adjacent batches) when reporting times.
-    pub pipeline: bool,
-    /// Refine remote-rank selection with per-rank point bounding boxes in
-    /// addition to the global-tree cells.
-    pub bbox_routing: bool,
-    /// Traversal bound computation.
-    pub bound_mode: BoundMode,
     /// Initial search radius (`∞` for plain KNN). Squared internally.
     pub initial_radius: f32,
     /// Execution order of each rank's *owned* queries (after routing).
@@ -231,9 +231,6 @@ impl Default for QueryConfig {
         Self {
             k: 5,
             batch_size: 4096,
-            pipeline: true,
-            bbox_routing: true,
-            bound_mode: BoundMode::default(),
             initial_radius: f32::INFINITY,
             order: QueryOrder::default(),
         }
@@ -276,9 +273,6 @@ pub struct DistConfig {
     pub local: TreeConfig,
     /// Points sampled *per rank* for each global split (paper: 256).
     pub global_samples_per_rank: usize,
-    /// Gather per-rank bounding boxes after redistribution (enables
-    /// `bbox_routing` at query time).
-    pub gather_rank_bboxes: bool,
 }
 
 impl Default for DistConfig {
@@ -286,7 +280,6 @@ impl Default for DistConfig {
         Self {
             local: TreeConfig::default(),
             global_samples_per_rank: 256,
-            gather_rank_bboxes: true,
         }
     }
 }
@@ -322,7 +315,7 @@ mod tests {
         let d = DistConfig::default();
         assert_eq!(d.global_samples_per_rank, 256);
         let q = QueryConfig::default();
-        assert_eq!(q.bound_mode, BoundMode::Exact);
+        assert_eq!(q.batch_size, 4096);
         assert_eq!(q.order, QueryOrder::Morton);
     }
 

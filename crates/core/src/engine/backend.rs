@@ -18,9 +18,9 @@ use crate::point::PointSet;
 /// provide inherent constructors instead.
 ///
 /// Exactness contract: every implementation in this workspace answers
-/// [`QueryRequest`]s **exactly** (bit-identical to brute force under the
-/// default [`crate::BoundMode::Exact`]); `tests/backend_parity.rs` holds
-/// all of them to it.
+/// [`QueryRequest`]s **exactly** (bit-identical to brute force; every
+/// engine traverses with [`crate::BoundMode::Exact`]);
+/// `tests/backend_parity.rs` holds all of them to it.
 pub trait NnBackend {
     /// Build an index over `points`. Backends ignore `TreeConfig` fields
     /// that do not apply to them (e.g. brute force ignores all of it).

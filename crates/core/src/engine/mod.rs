@@ -6,8 +6,8 @@
 //! * [`NnBackend`] — an object-safe trait over build + batch query,
 //!   implemented by [`crate::knn::KnnIndex`], [`ShardedIndex`], and the
 //!   four baselines in `panda-baselines`;
-//! * [`QueryRequest`] — a validated builder unifying `k`, optional
-//!   radius, execution order, bound mode, and distributed knobs;
+//! * [`QueryRequest`] — a validated builder saying what to find: the
+//!   queries, `k`, an optional radius and an optional deadline;
 //! * [`QueryResponse`] — a structured result whose neighbor storage is
 //!   the flat CSR [`NeighborTable`] (one offsets array + one contiguous
 //!   arena) instead of a `Vec<Vec<Neighbor>>`.

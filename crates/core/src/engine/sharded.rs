@@ -306,10 +306,10 @@ impl ShardedIndex {
     /// serve purely locally — no collectives at all.
     pub fn query_radius_all(&self, queries: &PointSet, radius: f32) -> Result<NeighborTable> {
         if radius.is_nan() || radius <= 0.0 {
-            return Err(PandaError::BadConfig("radius must be positive".into()));
+            return Err(PandaError::BadRadius { radius });
         }
         queries.validate()?;
-        if !queries.is_empty() && queries.dims() != self.dims {
+        if queries.dims() != self.dims {
             return Err(PandaError::DimsMismatch {
                 expected: self.dims,
                 got: queries.dims(),
@@ -324,7 +324,7 @@ impl ShardedIndex {
             let q = queries.point(i);
             targets.clear();
             self.global
-                .ranks_in_ball(q, r_sq, true, &mut targets, &mut counters);
+                .ranks_in_ball(q, r_sq, &mut targets, &mut counters);
             for &s in &targets {
                 coords[s].extend_from_slice(q);
                 qids[s].push(i as u64);
@@ -500,13 +500,18 @@ impl NnBackend for ShardedIndex {
         let t0 = Instant::now();
         req.validate()?;
         let queries = req.queries();
-        if !queries.is_empty() && queries.dims() != self.dims {
+        if queries.dims() != self.dims {
             return Err(PandaError::DimsMismatch {
                 expected: self.dims,
                 got: queries.dims(),
             });
         }
-        let cfg = req.to_query_config();
+        let cfg = QueryConfig {
+            k: req.k(),
+            initial_radius: req.radius().unwrap_or(f32::INFINITY),
+            order: req.order(),
+            ..QueryConfig::default()
+        };
         let n = queries.len();
         let mut counters = QueryCounters::default();
         if n == 0 {
@@ -911,8 +916,23 @@ mod tests {
     fn dims_mismatch_rejected() {
         let all = random_ps(100, 3, 48);
         let idx = ShardedIndex::build(&all, 2, &DistConfig::default()).unwrap();
-        let queries = random_ps(4, 2, 49);
-        let err = idx.query(&QueryRequest::knn(&queries, 3));
-        assert!(matches!(err, Err(PandaError::DimsMismatch { .. })));
+        // an empty batch is checked too: dims are a property of the batch
+        for queries in [random_ps(4, 2, 49), PointSet::new(2).unwrap()] {
+            let err = idx.query(&QueryRequest::knn(&queries, 3));
+            assert!(matches!(err, Err(PandaError::DimsMismatch { .. })));
+            let err = idx.query_radius_all(&queries, 1.0);
+            assert!(matches!(err, Err(PandaError::DimsMismatch { .. })));
+        }
+    }
+
+    #[test]
+    fn radius_all_rejects_bad_radius_with_typed_error() {
+        let all = random_ps(100, 3, 48);
+        let idx = ShardedIndex::build(&all, 2, &DistConfig::default()).unwrap();
+        let queries = random_ps(4, 3, 49);
+        for r in [0.0, -1.0, f32::NAN] {
+            let err = idx.query_radius_all(&queries, r);
+            assert!(matches!(err, Err(PandaError::BadRadius { .. })), "{r}");
+        }
     }
 }

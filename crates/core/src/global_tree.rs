@@ -175,13 +175,11 @@ impl GlobalKdTree {
 
     /// All ranks whose region could contain a point strictly closer than
     /// `r_sq` to `q` (exact cell distance; refined by rank bboxes when
-    /// attached and `use_bbox` is set). Appends to `out` in ascending rank
-    /// order.
+    /// attached). Appends to `out` in ascending rank order.
     pub fn ranks_in_ball(
         &self,
         q: &[f32],
         r_sq: f32,
-        use_bbox: bool,
         out: &mut Vec<usize>,
         counters: &mut QueryCounters,
     ) {
@@ -196,12 +194,10 @@ impl GlobalKdTree {
             let n = self.nodes[ni as usize];
             if n.split_dim == LEAF {
                 let rank = n.a as usize;
-                if use_bbox {
-                    if let Some(boxes) = &self.rank_bbox {
-                        let bb = &boxes[rank];
-                        if bb.is_empty() || bb.min_dist_sq(q) >= r_sq {
-                            continue;
-                        }
+                if let Some(boxes) = &self.rank_bbox {
+                    let bb = &boxes[rank];
+                    if bb.is_empty() || bb.min_dist_sq(q) >= r_sq {
+                        continue;
                     }
                 }
                 out.push(rank);
@@ -286,15 +282,15 @@ mod tests {
         let mut c = QueryCounters::default();
         let mut out = Vec::new();
         // Ball centered in rank 1's cell with radius 0.4: only rank 1
-        t.ranks_in_ball(&[-0.5], 0.4 * 0.4, true, &mut out, &mut c);
+        t.ranks_in_ball(&[-0.5], 0.4 * 0.4, &mut out, &mut c);
         assert_eq!(out, vec![1]);
         // radius 0.6 crosses x=0 and x=-1: ranks 0,1,2
         out.clear();
-        t.ranks_in_ball(&[-0.5], 0.6 * 0.6, true, &mut out, &mut c);
+        t.ranks_in_ball(&[-0.5], 0.6 * 0.6, &mut out, &mut c);
         assert_eq!(out, vec![0, 1, 2]);
         // huge radius: everyone
         out.clear();
-        t.ranks_in_ball(&[-0.5], 1e9, true, &mut out, &mut c);
+        t.ranks_in_ball(&[-0.5], 1e9, &mut out, &mut c);
         assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
@@ -309,10 +305,10 @@ mod tests {
         let t = line_tree();
         let mut c = QueryCounters::default();
         let mut out = Vec::new();
-        t.ranks_in_ball(&[-0.5], 1.4 * 1.4, true, &mut out, &mut c);
+        t.ranks_in_ball(&[-0.5], 1.4 * 1.4, &mut out, &mut c);
         assert_eq!(out, vec![0, 1, 2]);
         out.clear();
-        t.ranks_in_ball(&[-0.5], 1.6 * 1.6, true, &mut out, &mut c);
+        t.ranks_in_ball(&[-0.5], 1.6 * 1.6, &mut out, &mut c);
         assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
@@ -330,12 +326,12 @@ mod tests {
         let mut out = Vec::new();
         // Ball from x=0.05 with radius 0.5 reaches into rank 2's *cell*
         // (anything > 0) but not its *points* (≥ 0.9 away… 0.85 > 0.5).
-        t.ranks_in_ball(&[0.05], 0.5 * 0.5, true, &mut out, &mut c);
+        t.ranks_in_ball(&[0.05], 0.5 * 0.5, &mut out, &mut c);
         assert_eq!(out, vec![1]);
         // without refinement rank 2 is included
         let t2 = line_tree();
         out.clear();
-        t2.ranks_in_ball(&[0.05], 0.5 * 0.5, true, &mut out, &mut c);
+        t2.ranks_in_ball(&[0.05], 0.5 * 0.5, &mut out, &mut c);
         assert_eq!(out, vec![1, 2]);
     }
 
@@ -350,7 +346,7 @@ mod tests {
         ]);
         let mut c = QueryCounters::default();
         let mut out = Vec::new();
-        t.ranks_in_ball(&[-0.5], 1e9, true, &mut out, &mut c);
+        t.ranks_in_ball(&[-0.5], 1e9, &mut out, &mut c);
         assert_eq!(out, vec![0, 2, 3]);
     }
 
@@ -360,7 +356,7 @@ mod tests {
         let mut c = QueryCounters::default();
         assert_eq!(t.owner(&[1.0, 2.0, 3.0], &mut c), 0);
         let mut out = Vec::new();
-        t.ranks_in_ball(&[0.0, 0.0, 0.0], 1.0, true, &mut out, &mut c);
+        t.ranks_in_ball(&[0.0, 0.0, 0.0], 1.0, &mut out, &mut c);
         assert_eq!(out, vec![0]);
         assert_eq!(t.levels(), 0);
     }

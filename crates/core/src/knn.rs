@@ -83,8 +83,8 @@ impl KnnIndex {
     }
 
     /// Answer a batch [`QueryRequest`] (the [`crate::engine::NnBackend`]
-    /// entry point): kNN or radius-limited kNN, with per-request
-    /// overrides of execution order, bound mode, and parallelism.
+    /// entry point): exact kNN or radius-limited kNN, with per-request
+    /// overrides of execution order and parallelism.
     /// Results come back **in input order** as a flat CSR
     /// [`NeighborTable`]; workers fill chunk-local arenas that are
     /// spliced into the table, so the batch hot path performs no
@@ -97,7 +97,6 @@ impl KnnIndex {
             req.k(),
             req.radius_sq(),
             req.order(),
-            req.bound_mode(),
             req.parallel().unwrap_or(self.parallel),
         )?;
         panda_obs::trace::record(req.trace(), panda_obs::Stage::LeafKernel, t0);
@@ -108,17 +107,16 @@ impl KnnIndex {
         ))
     }
 
-    /// The CSR batch engine behind [`Self::query_session`]. The
-    /// execution order affects locality only: results and aggregate
-    /// counters are identical for any order (each query's traversal is
-    /// independent).
+    /// The CSR batch engine behind [`Self::query_session`], traversing
+    /// with the exact bound. The execution order affects locality only:
+    /// results and aggregate counters are identical for any order (each
+    /// query's traversal is independent).
     pub(crate) fn batch_csr(
         &self,
         queries: &PointSet,
         k: usize,
         radius_sq: f32,
         order: QueryOrder,
-        bound_mode: BoundMode,
         parallel: bool,
     ) -> Result<(NeighborTable, QueryCounters)> {
         if k == 0 {
@@ -149,7 +147,7 @@ impl KnnIndex {
                        c: &mut QueryCounters| {
             heap.reset(k, radius_sq);
             self.tree
-                .query_into(queries.point(qi as usize), heap, bound_mode, ws, c);
+                .query_into(queries.point(qi as usize), heap, BoundMode::Exact, ws, c);
             let start = arena.len();
             heap.append_sorted_into(arena);
             runs.push((qi, (arena.len() - start) as u32));
@@ -241,7 +239,6 @@ impl KnnIndex {
             k + 1,
             f32::INFINITY,
             QueryOrder::default(),
-            BoundMode::Exact,
             self.parallel,
         )?;
         Ok(table
@@ -543,7 +540,6 @@ mod tests {
         // a request that names no order runs under the locality rule ...
         let req = QueryRequest::knn(&queries, 3);
         assert_eq!(req.order(), QueryOrder::Morton);
-        assert_eq!(req.to_query_config().order, QueryOrder::Morton);
         // ... which sorts this shuffled batch, invisibly to the caller
         assert!(locality_schedule(3, queries.coords()).is_some());
         let a = idx.query_session(&req).unwrap();

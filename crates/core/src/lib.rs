@@ -23,7 +23,8 @@
 //!   `run_cluster`.
 //!
 //! All querying is **exact**: results are verified bit-identical to brute
-//! force throughout the test suite (`BoundMode::Exact`, the default).
+//! force throughout the test suite (every engine traverses with
+//! `BoundMode::Exact`).
 //!
 //! ## The local query hot path
 //!

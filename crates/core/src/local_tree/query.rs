@@ -417,6 +417,7 @@ mod tests {
         let mut scalar_nodes = 0u64;
         for _ in 0..30 {
             let q: Vec<f32> = (0..3).map(|_| (rng.next_f64() * 10.0) as f32).collect();
+            let mut rows = Vec::new();
             for (mode, acc) in [
                 (BoundMode::Exact, &mut exact_nodes),
                 (BoundMode::PaperScalar, &mut scalar_nodes),
@@ -426,6 +427,17 @@ mod tests {
                 let mut c = QueryCounters::default();
                 tree.query_into(&q, &mut heap, mode, &mut ws, &mut c);
                 *acc += c.nodes_visited;
+                rows.push(heap.into_sorted());
+            }
+            // a mis-pruned true neighbor is replaced by a farther one, so
+            // per slot the scalar distance is never below the exact one
+            let (exact, scalar) = (&rows[0], &rows[1]);
+            assert_eq!(exact.len(), scalar.len());
+            for (e, s) in exact.iter().zip(scalar) {
+                assert!(
+                    s.dist_sq >= e.dist_sq,
+                    "scalar bound invented a closer neighbor"
+                );
             }
         }
         // (Not a strict theorem — a mis-pruned true neighbor can keep the

@@ -44,7 +44,7 @@
 use panda_comm::{Comm, ReduceOp};
 
 use crate::build_distributed::DistKdTree;
-use crate::config::{QueryConfig, QueryOrder};
+use crate::config::{BoundMode, QueryConfig, QueryOrder};
 use crate::counters::QueryCounters;
 use crate::engine::NeighborTable;
 use crate::error::{PandaError, Result};
@@ -252,7 +252,6 @@ pub(crate) fn owned_pipeline(
     let p = comm.size();
     let me = comm.rank();
     let k = cfg.k;
-    let use_bbox = cfg.bbox_routing;
     let r0_sq = if cfg.initial_radius.is_finite() {
         cfg.initial_radius * cfg.initial_radius
     } else {
@@ -320,7 +319,7 @@ pub(crate) fn owned_pipeline(
             tree.local.query_into(
                 owned.point(i, dims),
                 heap,
-                cfg.bound_mode,
+                BoundMode::Exact,
                 &mut ws,
                 &mut local_counters,
             );
@@ -351,7 +350,7 @@ pub(crate) fn owned_pipeline(
             let r_sq = heaps[bi].bound_sq();
             rank_scratch.clear();
             tree.global
-                .ranks_in_ball(q, r_sq, use_bbox, &mut rank_scratch, &mut ident_counters);
+                .ranks_in_ball(q, r_sq, &mut rank_scratch, &mut ident_counters);
             let mut any = false;
             for &r in &rank_scratch {
                 if r == me {
@@ -413,7 +412,7 @@ pub(crate) fn owned_pipeline(
                 tree.local.query_into(
                     q,
                     &mut serve_heap,
-                    cfg.bound_mode,
+                    BoundMode::Exact,
                     &mut ws,
                     &mut remote_counters,
                 );
@@ -650,7 +649,7 @@ pub fn query_distributed(
 mod tests {
     use super::*;
     use crate::build_distributed::build_distributed;
-    use crate::config::{BoundMode, DistConfig};
+    use crate::config::DistConfig;
     use crate::heap::KnnHeap;
     use crate::rng::SplitRng;
     use panda_comm::{run_cluster, ClusterConfig};
@@ -789,57 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn bbox_routing_off_still_exact() {
-        let all = random_ps(1000, 3, 12);
-        let queries = random_ps(30, 3, 13);
-        let out = run_cluster(&ClusterConfig::new(4), |comm| {
-            let mine = scatter(&all, comm.rank(), comm.size());
-            let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
-            let myq = scatter(&queries, comm.rank(), comm.size());
-            let on = query_distributed(
-                comm,
-                &tree,
-                &myq,
-                &QueryConfig {
-                    k: 5,
-                    bbox_routing: true,
-                    ..QueryConfig::default()
-                },
-            )
-            .unwrap();
-            let off = query_distributed(
-                comm,
-                &tree,
-                &myq,
-                &QueryConfig {
-                    k: 5,
-                    bbox_routing: false,
-                    ..QueryConfig::default()
-                },
-            )
-            .unwrap();
-            let da: Vec<Vec<f32>> = on
-                .neighbors
-                .iter()
-                .map(|v| v.iter().map(|n| n.dist_sq).collect())
-                .collect();
-            let db: Vec<Vec<f32>> = off
-                .neighbors
-                .iter()
-                .map(|v| v.iter().map(|n| n.dist_sq).collect())
-                .collect();
-            // CSR tables compare whole (offsets + arena) too
-            assert_eq!(on.neighbors, off.neighbors);
-            assert_eq!(da, db);
-            // bbox routing must not *increase* remote traffic
-            (on.remote.remote_pairs_sent, off.remote.remote_pairs_sent)
-        });
-        let on: u64 = out.iter().map(|o| o.result.0).sum();
-        let off: u64 = out.iter().map(|o| o.result.1).sum();
-        assert!(on <= off, "bbox on={on} off={off}");
-    }
-
-    #[test]
     fn breakdown_and_stats_are_recorded() {
         let all = random_ps(2000, 3, 14);
         let queries = random_ps(200, 3, 15);
@@ -861,33 +809,6 @@ mod tests {
             assert!(o.result.2.points_scanned > 0);
         }
         assert_eq!(owned, 200, "all queries owned exactly once");
-    }
-
-    #[test]
-    fn paper_scalar_bound_mode_runs() {
-        // PaperScalar is approximate by design; just verify it produces
-        // plausible results (≥ exact distances, same count).
-        let all = random_ps(1500, 3, 16);
-        let queries = random_ps(40, 3, 17);
-        let out = run_cluster(&ClusterConfig::new(4), |comm| {
-            let mine = scatter(&all, comm.rank(), comm.size());
-            let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
-            let myq = scatter(&queries, comm.rank(), comm.size());
-            let cfg = QueryConfig {
-                k: 5,
-                bound_mode: BoundMode::PaperScalar,
-                ..QueryConfig::default()
-            };
-            let res = query_distributed(comm, &tree, &myq, &cfg).unwrap();
-            (0..myq.len())
-                .map(|i| (myq.point(i).to_vec(), res.neighbors.row(i).len()))
-                .collect::<Vec<_>>()
-        });
-        for o in &out {
-            for (_q, len) in &o.result {
-                assert_eq!(*len, 5);
-            }
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ impl LocalKdTree {
     /// ascending by distance. Exact.
     pub fn query_radius_all(&self, q: &[f32], radius: f32) -> Result<Vec<Neighbor>> {
         if radius.is_nan() || radius <= 0.0 {
-            return Err(PandaError::BadConfig("radius must be positive".into()));
+            return Err(PandaError::BadRadius { radius });
         }
         if q.len() != self.dims() {
             return Err(PandaError::DimsMismatch {
@@ -129,7 +129,7 @@ pub fn radius_search_distributed(
     radius: f32,
 ) -> Result<NeighborTable> {
     if radius.is_nan() || radius <= 0.0 {
-        return Err(PandaError::BadConfig("radius must be positive".into()));
+        return Err(PandaError::BadRadius { radius });
     }
     let dims = tree.global.dims();
     if !queries.is_empty() && queries.dims() != dims {
@@ -154,7 +154,7 @@ pub fn radius_search_distributed(
         let q = queries.point(i);
         targets.clear();
         tree.global
-            .ranks_in_ball(q, r_sq, true, &mut targets, &mut counters);
+            .ranks_in_ball(q, r_sq, &mut targets, &mut counters);
         for &r in &targets {
             coord_sends[r].extend_from_slice(q);
             qid_sends[r].push(((me as u64) << 32) | i as u64);
@@ -275,9 +275,19 @@ mod tests {
     fn local_radius_validates() {
         let ps = random_ps(100, 3, 5);
         let tree = LocalKdTree::build(&ps, &TreeConfig::default()).unwrap();
-        assert!(tree.query_radius_all(&[0.0; 3], 0.0).is_err());
-        assert!(tree.query_radius_all(&[0.0; 3], -1.0).is_err());
-        assert!(tree.query_radius_all(&[0.0; 2], 1.0).is_err());
+        for r in [0.0, -1.0, f32::NAN] {
+            assert!(
+                matches!(
+                    tree.query_radius_all(&[0.0; 3], r),
+                    Err(PandaError::BadRadius { .. })
+                ),
+                "{r}"
+            );
+        }
+        assert!(matches!(
+            tree.query_radius_all(&[0.0; 2], 1.0),
+            Err(PandaError::DimsMismatch { .. })
+        ));
     }
 
     #[test]

@@ -187,29 +187,15 @@ impl QueryBreakdown {
         (all_compute - step_compute).max(0.0)
     }
 
-    /// Effective total under `pipelined` on/off.
-    pub fn total(&self, pipelined: bool) -> f64 {
-        if pipelined {
-            self.total_pipelined()
-        } else {
-            self.total_synchronous()
-        }
-    }
-
     /// Five-way values for the Fig. 5(c) chart: merge folded into remote
-    /// KNN, communication as non-overlapped when `pipelined`.
-    pub fn figure_values(&self, pipelined: bool) -> [f64; 5] {
-        let comm = if pipelined {
-            self.comm_non_overlapped()
-        } else {
-            self.comm_total
-        };
+    /// KNN, communication as the pipeline's non-overlapped share.
+    pub fn figure_values(&self) -> [f64; 5] {
         [
             self.find_owner,
             self.local_knn,
             self.identify_remote,
             self.remote_knn + self.merge,
-            comm,
+            self.comm_non_overlapped(),
         ]
     }
 
@@ -341,8 +327,6 @@ mod tests {
         // 0.5 + max(1,4) + max(1,2) = 6.5
         assert!((q.total_pipelined() - 6.5).abs() < 1e-12);
         assert!(q.total_pipelined() < q.total_synchronous());
-        assert_eq!(q.total(true), q.total_pipelined());
-        assert_eq!(q.total(false), q.total_synchronous());
     }
 
     #[test]
@@ -354,11 +338,13 @@ mod tests {
             remote_knn: 4.0,
             merge: 5.0,
             comm_total: 6.0,
-            steps: vec![],
+            steps: vec![StepTiming {
+                compute: 1.0,
+                comm: 6.0,
+            }],
         };
-        let v = q.figure_values(false);
-        assert_eq!(v, [1.0, 2.0, 3.0, 9.0, 6.0]);
-        assert_eq!(q.figure_values(true)[4], 0.0); // no steps → nothing exposed
+        // comm reported as Σ max(0, comm − compute) over steps, not comm_total
+        assert_eq!(q.figure_values(), [1.0, 2.0, 3.0, 9.0, 5.0]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! The key is [`CacheKey`]: the submission's coordinate **bit patterns**
 //! (not float equality — `-0.0` and `NaN` payloads are distinct keys,
 //! so no float-comparison edge case can alias two submissions), `k`,
-//! the radius limit's bit pattern, and the traversal bound mode. Two
+//! and the radius limit's bit pattern. Two
 //! submissions with equal keys are answered identically by every
 //! backend in the workspace, so serving the memo is bit-for-bit
 //! indistinguishable from re-executing.
@@ -32,7 +32,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use panda_core::{BoundMode, PointSet};
+use panda_core::PointSet;
 
 use crate::ticket::TicketReply;
 
@@ -43,8 +43,6 @@ pub(crate) struct CacheKey {
     coords_bits: Box<[u32]>,
     k: usize,
     radius_bits: Option<u32>,
-    /// [`BoundMode`] as a stable tag (the enum itself has no `Hash`).
-    bound_tag: u8,
 }
 
 impl CacheKey {
@@ -53,16 +51,7 @@ impl CacheKey {
             coords_bits: queries.coords().iter().map(|c| c.to_bits()).collect(),
             k,
             radius_bits,
-            bound_tag: 0,
         }
-    }
-
-    pub(crate) fn with_bound_mode(mut self, mode: BoundMode) -> Self {
-        self.bound_tag = match mode {
-            BoundMode::Exact => 0,
-            BoundMode::PaperScalar => 1,
-        };
-        self
     }
 }
 
@@ -229,7 +218,7 @@ mod tests {
 
     fn key(x: f32, k: usize) -> CacheKey {
         let ps = PointSet::from_coords(1, vec![x]).unwrap();
-        CacheKey::new(&ps, k, None).with_bound_mode(BoundMode::Exact)
+        CacheKey::new(&ps, k, None)
     }
 
     #[test]
@@ -256,14 +245,9 @@ mod tests {
         let r = key(1.0, 4); // same coords+k, radius differs
         let with_radius = {
             let ps = PointSet::from_coords(1, vec![1.0]).unwrap();
-            CacheKey::new(&ps, 4, Some(2.0f32.to_bits())).with_bound_mode(BoundMode::Exact)
+            CacheKey::new(&ps, 4, Some(2.0f32.to_bits()))
         };
         assert!(c.lookup(&with_radius, 0).is_none());
-        let paper = {
-            let ps = PointSet::from_coords(1, vec![1.0]).unwrap();
-            CacheKey::new(&ps, 4, None).with_bound_mode(BoundMode::PaperScalar)
-        };
-        assert!(c.lookup(&paper, 0).is_none(), "different bound mode");
         assert!(c.lookup(&r, 0).is_some());
     }
 

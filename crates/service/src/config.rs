@@ -42,13 +42,10 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Behavior when the queue is full.
     pub overflow: OverflowPolicy,
-    /// Per-batch override of the backend's thread-parallel execution
-    /// (`None` keeps whatever the backend was built with).
-    pub parallel: Option<bool>,
     /// Total capacity (in submissions) of the hot-query result cache;
     /// `0` (the default) disables caching entirely. When enabled,
     /// `submit` resolves repeated submissions — same coordinate bit
-    /// patterns, `k`, radius, and bound mode — straight from an LRU
+    /// patterns, `k` and radius — straight from an LRU
     /// memo without touching the queue or the backend. The cache is
     /// invalidated whenever the backend's
     /// [`data_epoch`](panda_core::engine::NnBackend::data_epoch) moves,
@@ -63,7 +60,6 @@ impl Default for ServiceConfig {
             max_batch: 256,
             queue_capacity: 8192,
             overflow: OverflowPolicy::Block,
-            parallel: None,
             cache_capacity: 0,
         }
     }
@@ -88,13 +84,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_overflow(mut self, overflow: OverflowPolicy) -> Self {
         self.overflow = overflow;
-        self
-    }
-
-    /// Override the backend's thread-parallel batch execution.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = Some(parallel);
         self
     }
 
@@ -135,11 +124,10 @@ mod tests {
         let cfg = cfg
             .with_max_batch(64)
             .with_queue_capacity(64)
-            .with_overflow(OverflowPolicy::Reject)
-            .with_parallel(true);
+            .with_overflow(OverflowPolicy::Reject);
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.max_batch, 64);
-        assert_eq!(cfg.parallel, Some(true));
+        assert_eq!(cfg.overflow, OverflowPolicy::Reject);
     }
 
     #[test]

@@ -74,8 +74,8 @@
 //!
 //! Serving workloads repeat themselves; with
 //! [`ServiceConfig::with_cache_capacity`] the service memoizes resolved
-//! submissions in an LRU keyed on the coordinate **bit patterns**, `k`,
-//! radius, and bound mode — a repeat resolves straight from the memo
+//! submissions in an LRU keyed on the coordinate **bit patterns**, `k`
+//! and radius — a repeat resolves straight from the memo
 //! (zero-copy, no queue, no backend) and is counted in
 //! [`ServiceStats::cache_hits`]. The cache invalidates itself whenever
 //! the backend's

@@ -8,9 +8,7 @@ use std::time::{Duration, Instant};
 
 use panda_core::engine::{NnBackend, QueryRequest, QueryResponse};
 use panda_core::supervise::{panic_message, restart_backoff};
-use panda_core::{
-    faultpoint, BoundMode, NeighborTable, PandaError, PointSet, QueryCounters, Result,
-};
+use panda_core::{faultpoint, NeighborTable, PandaError, PointSet, QueryCounters, Result};
 use panda_obs::trace::{self, Stage};
 use panda_obs::{Snapshot, TraceId};
 
@@ -24,14 +22,13 @@ use crate::ticket::{Ticket, TicketReply, TicketShared, WakeHub};
 const RESTART_HEALTHY_RESET: Duration = Duration::from_secs(5);
 
 /// Requests can only be coalesced into one engine batch when they agree
-/// on everything that changes answers: `k`, the radius limit, and the
-/// traversal bound mode. Submissions with distinct keys flush as
-/// separate batches of the same drain cycle.
+/// on everything that changes answers: `k` and the radius limit.
+/// Submissions with distinct keys flush as separate batches of the same
+/// drain cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct BatchKey {
     k: usize,
     radius_bits: Option<u32>,
-    bound_mode: BoundMode,
 }
 
 /// One queued submission: owned coordinates plus the ticket to resolve.
@@ -147,7 +144,6 @@ impl ServiceInner {
         let key = BatchKey {
             k: req.k(),
             radius_bits: req.radius().map(f32::to_bits),
-            bound_mode: req.bound_mode(),
         };
         // Pipeline trace id: NONE unless this submission wins the 1-in-N
         // sampling lottery (a single relaxed load when disarmed). A
@@ -164,9 +160,7 @@ impl ServiceInner {
         // same sample guards the eventual insert on the miss path.
         let cache_key = match &self.cache {
             Some(cache) => {
-                let ck = Arc::new(
-                    CacheKey::new(queries, key.k, key.radius_bits).with_bound_mode(key.bound_mode),
-                );
+                let ck = Arc::new(CacheKey::new(queries, key.k, key.radius_bits));
                 let now_epoch = self.backend.data_epoch();
                 let probe_start = Instant::now();
                 let hit = cache
@@ -345,14 +339,10 @@ impl ServiceInner {
                 return;
             }
         };
-        let mut req = QueryRequest::knn(&points, key.k).with_bound_mode(key.bound_mode);
+        let mut req = QueryRequest::knn(&points, key.k).with_trace(batch_trace);
         if let Some(bits) = key.radius_bits {
             req = req.with_radius(f32::from_bits(bits));
         }
-        if let Some(parallel) = self.cfg.parallel {
-            req = req.with_parallel(parallel);
-        }
-        req = req.with_trace(batch_trace);
         self.metrics.record_batch(total);
         // Flush span: coords assembly + request construction.
         trace::record(batch_trace, Stage::Flush, flush_start);
@@ -580,9 +570,9 @@ impl ServiceHandle {
     /// Queue a batch of queries described by `req`; returns immediately
     /// with a [`Ticket`] unless the bounded queue is full (then the
     /// configured [`OverflowPolicy`] applies). The request's `k`,
-    /// radius, and bound mode are honored; its order and parallel knobs
-    /// are ignored here — the backend orders each coalesced batch, and
-    /// parallelism is service-level configuration.
+    /// radius and deadline are honored; its order and parallel overrides
+    /// are ignored here — the backend orders each coalesced batch and
+    /// runs it with the parallelism it was built with.
     pub fn submit(&self, req: &QueryRequest<'_>) -> Result<Ticket> {
         self.inner.submit(req)
     }

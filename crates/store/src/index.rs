@@ -796,9 +796,7 @@ impl StoreInner {
         let k_tree = k + deleted_tree.len();
         let tree_res = match &gen.index {
             Some(index) => {
-                let mut treq = QueryRequest::knn(req.queries(), k_tree)
-                    .with_order(req.order())
-                    .with_bound_mode(req.bound_mode());
+                let mut treq = QueryRequest::knn(req.queries(), k_tree).with_order(req.order());
                 if let Some(r) = req.radius() {
                     treq = treq.with_radius(r);
                 }

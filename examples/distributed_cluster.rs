@@ -8,6 +8,7 @@
 
 use panda::comm::{makespan, run_cluster, total_stats, ClusterConfig, MachineProfile};
 use panda::core::timers::{BuildBreakdown, QueryBreakdown};
+use panda::core::QueryConfig;
 use panda::data::plasma::{self, PlasmaParams};
 use panda::data::{queries_from, scatter};
 use panda::prelude::*;
@@ -31,8 +32,7 @@ fn main() {
         comm.barrier();
         let t_build = comm.now();
         let myq = scatter(&queries, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let res = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(5)).expect("query");
         (
             t_build,
             tree.breakdown,
@@ -56,7 +56,7 @@ fn main() {
     for (label, pct) in BuildBreakdown::LABELS.iter().zip(bb.percentages()) {
         println!("  {label:<34} {pct:5.1}%");
     }
-    let qv = qb.figure_values(true);
+    let qv = qb.figure_values();
     let qt: f64 = qv.iter().sum();
     println!("\nquery breakdown (Fig 5c, pipelined):");
     for (label, v) in QueryBreakdown::LABELS.iter().zip(qv) {

@@ -335,7 +335,10 @@
 //! The 0.1 tuple methods (`query_batch`, `query_batch_ordered`, the
 //! free `query_distributed`, the baselines' `query_batch`s) survived
 //! one release as `#[deprecated]` shims and are now **removed**, as are
-//! the two order knobs the engine now decides for itself (last rows):
+//! the order knobs the engine now decides for itself and the request and
+//! config knobs that only one value ever used (last rows): a request says
+//! what to find, and the engine always runs it the same exact, batched,
+//! pipelined, box-routed way:
 //!
 //! | old (0.1, removed) | new |
 //! |---|---|
@@ -349,6 +352,14 @@
 //! | `radius_search_distributed(..)` → `Vec<Vec<Neighbor>>` | same call → flat CSR `NeighborTable` |
 //! | `TreeConfig::default().with_query_order(order)` | nothing: the engine picks the order (`QueryRequest::with_order` still overrides one request) |
 //! | `ServiceConfig::default().with_order(order)` | nothing: the backend orders each coalesced batch |
+//! | `QueryRequest::with_bound_mode(mode)` | nothing — the engine always does this (exact bound; the paper's scalar bound stays an argument of `LocalKdTree::query_into` for the ablation) |
+//! | `QueryRequest::with_batch_size(b)` | `QueryConfig { batch_size: b, .. }` for the SPMD `query_distributed` |
+//! | `QueryRequest::with_pipeline(on)` | nothing — the engine always does this (breakdowns report `total_pipelined()`) |
+//! | `QueryRequest::with_bbox_routing(on)` | nothing — the engine always does this |
+//! | `QueryRequest::to_query_config()` / `QueryRequest::from_config(..)` | `QueryConfig::with_k(k)` (or a `QueryConfig { .. }` literal) |
+//! | `QueryBreakdown::total(pipelined)` | `total_pipelined()` / `total_synchronous()` |
+//! | `DistConfig { gather_rank_bboxes, .. }` | nothing — `build_distributed` always gathers the rank boxes |
+//! | `ServiceConfig::default().with_parallel(p)` | nothing: the backend runs with the parallelism it was built with |
 
 #![warn(missing_docs)]
 

@@ -7,11 +7,13 @@
 //! reported distance from the query.
 //!
 //! Covered backends: `panda-local` (`KnnIndex`), `brute-force`,
-//! `flann-like`, `ann-like` on the single-node side; the SPMD pipeline
+//! `flann-like`, `ann-like` and a 2-shard `panda-sharded`
+//! (`ShardedIndex`) behind one handle; the SPMD pipeline
 //! (`query_distributed`) and `local-trees` (`LocalTreesBackend`) on a
 //! simulated 4-rank cluster.
 
 use panda::comm::{run_cluster, ClusterConfig};
+use panda::core::QueryConfig;
 use panda::data::dayabay::{self, DayaBayParams};
 use panda::data::{cosmology, queries_from, scatter, uniform};
 use panda::prelude::*;
@@ -50,8 +52,8 @@ fn assert_ids_honest(res: &QueryResponse, points: &PointSet, queries: &PointSet,
     }
 }
 
-/// Every single-node backend, built from the same `(points, config)`
-/// through the trait's associated `build`.
+/// Every backend served from one handle, built from the same points —
+/// the sharded engine included, with its shard workers behind the handle.
 fn single_node_backends(points: &PointSet) -> Vec<Box<dyn NnBackend>> {
     let cfg = TreeConfig::default();
     let parallel = TreeConfig::default().with_parallel(true).with_threads(2);
@@ -61,6 +63,7 @@ fn single_node_backends(points: &PointSet) -> Vec<Box<dyn NnBackend>> {
         Box::new(BruteForce::build(points, &cfg).unwrap()),
         Box::new(FlannLikeTree::build(points).unwrap()),
         Box::new(AnnLikeTree::build(points).unwrap()),
+        Box::new(ShardedIndex::build(points, 2, &DistConfig::default()).unwrap()),
     ]
 }
 
@@ -128,6 +131,8 @@ fn all_single_node_backends_agree_on_radius_limited_requests() {
 fn request_validation_is_uniform_across_backends() {
     let points = uniform::generate(200, 3, 1.0, 9);
     let queries = queries_from(&points, 5, 0.01, 10);
+    // an empty batch still declares its dimensionality
+    let empty_2d = PointSet::new(2).unwrap();
     for backend in single_node_backends(&points) {
         assert!(
             matches!(
@@ -141,6 +146,14 @@ fn request_validation_is_uniform_across_backends() {
             matches!(
                 backend.query(&QueryRequest::knn(&queries, 3).with_radius(f32::NAN)),
                 Err(PandaError::BadRadius { .. })
+            ),
+            "{}",
+            backend.name()
+        );
+        assert!(
+            matches!(
+                backend.query(&QueryRequest::knn(&empty_2d, 3)),
+                Err(PandaError::DimsMismatch { .. })
             ),
             "{}",
             backend.name()
@@ -163,10 +176,7 @@ fn distributed_backends_agree_with_brute_force() {
         // pipeline only borrows the comm, so local-trees can follow it
         let tree = build_distributed(comm, mine.clone(), &DistConfig::default()).unwrap();
         let myq = scatter(&queries, rank, size);
-        let dist_res = {
-            let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-            query_distributed(comm, &tree, &myq, &qcfg).unwrap()
-        };
+        let dist_res = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(5)).unwrap();
         let lt = LocalTreesBackend::build_on(comm, &mine, &TreeConfig::default()).unwrap();
         let lt_res = {
             let backend: &dyn NnBackend = &lt;

@@ -22,6 +22,7 @@ use std::time::Duration;
 use common::{GatedBackend, RecordingBackend};
 use panda::comm::{run_cluster, ClusterConfig, CommError, RetryPolicy};
 use panda::core::faultpoint::{self, points, FaultAction, FaultPlan, FaultSpec};
+use panda::core::QueryConfig;
 use panda::data::{scatter, uniform};
 use panda::prelude::*;
 
@@ -424,7 +425,7 @@ fn stalled_rank_yields_typed_timeouts_and_quiesce_recovers() {
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&all, rank, comm.size());
 
-        let qcfg = QueryRequest::knn(&myq, 4).to_query_config();
+        let qcfg = QueryConfig::with_k(4);
         let first = query_distributed(comm, &tree, &myq, &qcfg);
         let first_kind = match (rank, first) {
             (1, Err(PandaError::FaultInjected { point })) => {
@@ -494,9 +495,8 @@ fn straggler_delay_is_masked_by_receive_retry() {
         let p = comm.size();
         let rank = comm.rank();
         let myq = scatter(&all, rank, p);
-        let qcfg = QueryRequest::knn(&myq, 3).to_query_config();
-        let res =
-            query_distributed(comm, &tree, &myq, &qcfg).expect("straggler absorbed, query exact");
+        let res = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(3))
+            .expect("straggler absorbed, query exact");
         // strided scatter: local row i answers global query rank + i*p
         res.neighbors
             .iter()
@@ -553,7 +553,7 @@ fn late_stage_exchange_fault_is_also_typed_and_recoverable() {
         let mine = scatter(&all, rank, comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&all, rank, comm.size());
-        let qcfg = QueryRequest::knn(&myq, 3).to_query_config();
+        let qcfg = QueryConfig::with_k(3);
         let first = query_distributed(comm, &tree, &myq, &qcfg);
         let typed = matches!(
             first,

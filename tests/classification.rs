@@ -3,6 +3,7 @@
 
 use panda::comm::{run_cluster, ClusterConfig};
 use panda::core::classify::{majority_vote, ConfusionMatrix};
+use panda::core::QueryConfig;
 use panda::data::dayabay::{self, DayaBayParams};
 use panda::data::scatter;
 use panda::prelude::*;
@@ -19,8 +20,7 @@ fn distributed_dayabay_accuracy_in_paper_band() {
         let mine = scatter(&train, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&test, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let res = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(5)).expect("query");
         (0..myq.len())
             .map(|i| {
                 let truth = labels[myq.id(i) as usize];
@@ -68,8 +68,7 @@ fn distributed_equals_single_node_classification() {
         let mine = scatter(&train, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&test, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let res = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(5)).expect("query");
         (0..myq.len())
             .map(|i| {
                 (

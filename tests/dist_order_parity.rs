@@ -10,7 +10,7 @@
 //! (query, rank) pairs in both orders.
 
 use panda::comm::{run_cluster, ClusterConfig};
-use panda::core::KnnHeap;
+use panda::core::{KnnHeap, QueryConfig};
 use panda::data::scatter;
 use panda::prelude::*;
 
@@ -54,10 +54,13 @@ where
             let mine = scatter(&all, comm.rank(), comm.size());
             let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
             let myq = queries_for_rank(comm.rank(), comm.size());
-            let req = QueryRequest::knn(&myq, k)
-                .with_batch_size(batch_size)
-                .with_order(order);
-            let res = query_distributed(comm, &tree, &myq, &req.to_query_config()).expect("query");
+            let cfg = QueryConfig {
+                k,
+                batch_size,
+                order,
+                ..QueryConfig::default()
+            };
+            let res = query_distributed(comm, &tree, &myq, &cfg).expect("query");
             let rows: Vec<Vec<(u64, f32)>> = res
                 .neighbors
                 .iter()
@@ -138,7 +141,8 @@ fn all_queries_owned_by_one_corner_rank() {
 
 /// Batch size smaller than k: every pipeline step carries fewer queries
 /// than the per-query result size, forcing many steps and many
-/// partially-filled exchanges.
+/// partially-filled exchanges. The SPMD driver and the shard workers
+/// share this pipeline (`owned_pipeline`), so this pins both.
 #[test]
 fn batch_size_smaller_than_k() {
     let all = random_ps(1600, 3, 74);
@@ -160,10 +164,9 @@ fn batch_size_smaller_than_k() {
 }
 
 /// Ownership skew through the sharded front handle: every query falls
-/// in one shard's spatial corner (the other three shards only run empty
-/// collective steps) and the step batch is smaller than `k`, forcing
-/// many partially-filled exchanges. Results must stay **bit-identical**
-/// to a single-shard deployment and to the local engine.
+/// in one shard's spatial corner, so the other three shards only run
+/// empty collective steps. Results must stay **bit-identical** to a
+/// single-shard deployment and to the local engine.
 #[test]
 fn sharded_skewed_ownership_matches_single_shard() {
     let all = random_ps(2000, 2, 78);
@@ -176,7 +179,7 @@ fn sharded_skewed_ownership_matches_single_shard() {
             .collect::<Vec<f32>>(),
     )
     .unwrap();
-    let req = QueryRequest::knn(&queries, 8).with_batch_size(3); // batch < k
+    let req = QueryRequest::knn(&queries, 8);
     let single = ShardedIndex::build(&all, 1, &DistConfig::default()).unwrap();
     let sharded = ShardedIndex::build(&all, 4, &DistConfig::default()).unwrap();
     let a = single.query(&req).expect("single-shard query");
@@ -237,10 +240,13 @@ fn morton_skewed_results_are_exact() {
         } else {
             PointSet::new(3).unwrap()
         };
-        let req = QueryRequest::knn(&myq, 6)
-            .with_batch_size(7)
-            .with_order(QueryOrder::Morton);
-        let res = query_distributed(comm, &tree, &myq, &req.to_query_config()).expect("query");
+        let cfg = QueryConfig {
+            k: 6,
+            batch_size: 7,
+            order: QueryOrder::Morton,
+            ..QueryConfig::default()
+        };
+        let res = query_distributed(comm, &tree, &myq, &cfg).expect("query");
         (0..myq.len())
             .map(|i| {
                 (

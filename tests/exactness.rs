@@ -4,6 +4,7 @@
 //! k values and batch sizes.
 
 use panda::comm::{run_cluster, ClusterConfig};
+use panda::core::QueryConfig;
 use panda::data::dayabay::DayaBayParams;
 use panda::data::plasma::PlasmaParams;
 use panda::data::{cosmology, dayabay, plasma, queries_from, scatter, sdss, uniform};
@@ -24,8 +25,12 @@ fn assert_distributed_exact(
         let mine = scatter(all, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(queries, comm.rank(), comm.size());
-        let req = QueryRequest::knn(&myq, k).with_batch_size(batch);
-        let res = query_distributed(comm, &tree, &myq, &req.to_query_config()).expect("query");
+        let cfg = QueryConfig {
+            k,
+            batch_size: batch,
+            ..QueryConfig::default()
+        };
+        let res = query_distributed(comm, &tree, &myq, &cfg).expect("query");
         (0..myq.len())
             .map(|i| {
                 (
@@ -147,8 +152,11 @@ fn radius_limited_distributed_knn() {
         let mine = scatter(&all, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&queries, comm.rank(), comm.size());
-        let req = QueryRequest::knn(&myq, 10).with_radius(radius);
-        let res = query_distributed(comm, &tree, &myq, &req.to_query_config()).expect("query");
+        let cfg = QueryConfig {
+            initial_radius: radius,
+            ..QueryConfig::with_k(10)
+        };
+        let res = query_distributed(comm, &tree, &myq, &cfg).expect("query");
         (0..myq.len())
             .map(|i| {
                 (

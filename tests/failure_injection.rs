@@ -2,6 +2,7 @@
 //! errors, symmetric across ranks) — never silently mis-answered.
 
 use panda::comm::{run_cluster, ClusterConfig};
+use panda::core::QueryConfig;
 use panda::data::{scatter, uniform};
 use panda::prelude::*;
 
@@ -27,7 +28,7 @@ fn nan_queries_rejected_by_distributed_engine() {
         // validation; the request validation must still catch it)
         let mut q = PointSet::new(3).unwrap();
         q.push(&[0.5, f32::NAN, 0.5], 0);
-        let r = query_distributed(comm, &tree, &q, &QueryRequest::knn(&q, 3).to_query_config());
+        let r = query_distributed(comm, &tree, &q, &QueryConfig::with_k(3));
         matches!(r, Err(PandaError::NonFiniteCoordinate { .. }))
     });
     assert!(
@@ -44,16 +45,19 @@ fn zero_k_and_bad_configs_rejected() {
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let q = scatter(&all, comm.rank(), comm.size());
         let mut run = |cfg| query_distributed(comm, &tree, &q, &cfg);
-        let e1 = run(QueryRequest::knn(&q, 0).to_query_config());
-        let e2 = run(QueryRequest::knn(&q, 2)
-            .with_batch_size(0)
-            .to_query_config());
-        let e3 = run(QueryRequest::knn(&q, 2).with_radius(-1.0).to_query_config());
+        let radius = |initial_radius| QueryConfig {
+            initial_radius,
+            ..QueryConfig::with_k(2)
+        };
+        let e1 = run(QueryConfig::with_k(0));
+        let e2 = run(QueryConfig {
+            batch_size: 0,
+            ..QueryConfig::with_k(2)
+        });
+        let e3 = run(radius(-1.0));
         // `+inf` is the no-limit sentinel at the QueryConfig level, so the
         // non-finite rejection case is exercised with NaN here
-        let e4 = run(QueryRequest::knn(&q, 2)
-            .with_radius(f32::NAN)
-            .to_query_config());
+        let e4 = run(radius(f32::NAN));
         (
             matches!(e1, Err(PandaError::ZeroK)),
             matches!(e2, Err(PandaError::BadConfig(_))),

@@ -1,24 +1,22 @@
-//! Query-engine configuration must never change results: batching,
-//! pipelining, bbox routing and thread counts are performance knobs only.
-//! (The one deliberate exception — the paper's scalar bound — is verified
-//! to only ever *lose* neighbors, never invent closer ones.)
+//! The SPMD query driver's own choices must never change results: the
+//! pipeline step size and the rank count are performance knobs only.
+//! (Every engine always traverses with the exact bound and routes with
+//! the per-rank bounding boxes; the paper's scalar bound is an ablation
+//! of the tree alone, checked in `local_tree/query.rs`.)
 
 use panda::comm::{run_cluster, ClusterConfig};
+use panda::core::QueryConfig;
 use panda::data::{cosmology, queries_from, scatter};
 use panda::prelude::*;
 
-fn run_with<F>(make_req: F, ranks: usize, seed: u64) -> Vec<Vec<f32>>
-where
-    F: for<'q> Fn(&'q PointSet) -> QueryRequest<'q> + Send + Sync + Clone + 'static,
-{
+fn run_with(cfg: QueryConfig, ranks: usize, seed: u64) -> Vec<Vec<f32>> {
     let all = cosmology::generate(3000, &Default::default(), seed);
     let queries = queries_from(&all, 64, 0.01, seed + 1);
     let out = run_cluster(&ClusterConfig::new(ranks), |comm| {
         let mine = scatter(&all, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&queries, comm.rank(), comm.size());
-        let res =
-            query_distributed(comm, &tree, &myq, &make_req(&myq).to_query_config()).expect("query");
+        let res = query_distributed(comm, &tree, &myq, &cfg).expect("query");
         (0..myq.len())
             .map(|i| {
                 (
@@ -40,69 +38,21 @@ where
 
 #[test]
 fn batch_size_is_result_invariant() {
-    let base = run_with(|q| QueryRequest::knn(q, 5).with_batch_size(4096), 4, 1);
-    for batch in [1usize, 7, 64, 1000] {
-        let got = run_with(
-            move |q| QueryRequest::knn(q, 5).with_batch_size(batch),
-            4,
-            1,
-        );
-        assert_eq!(got, base, "batch={batch}");
+    let base = run_with(QueryConfig::with_k(5), 4, 1);
+    for batch_size in [1usize, 7, 64, 1000] {
+        let cfg = QueryConfig {
+            batch_size,
+            ..QueryConfig::with_k(5)
+        };
+        assert_eq!(run_with(cfg, 4, 1), base, "batch={batch_size}");
     }
-}
-
-#[test]
-fn pipeline_flag_is_result_invariant() {
-    let on = run_with(|q| QueryRequest::knn(q, 5).with_pipeline(true), 4, 2);
-    let off = run_with(|q| QueryRequest::knn(q, 5).with_pipeline(false), 4, 2);
-    assert_eq!(on, off);
-}
-
-#[test]
-fn bbox_routing_is_result_invariant() {
-    let on = run_with(|q| QueryRequest::knn(q, 5).with_bbox_routing(true), 4, 3);
-    let off = run_with(|q| QueryRequest::knn(q, 5).with_bbox_routing(false), 4, 3);
-    assert_eq!(on, off);
 }
 
 #[test]
 fn rank_count_is_result_invariant() {
-    let base = run_with(|q| QueryRequest::knn(q, 5), 1, 4);
+    let base = run_with(QueryConfig::with_k(5), 1, 4);
     for ranks in [2usize, 3, 4, 8] {
-        let got = run_with(|q| QueryRequest::knn(q, 5), ranks, 4);
+        let got = run_with(QueryConfig::with_k(5), ranks, 4);
         assert_eq!(got, base, "ranks={ranks}");
     }
-}
-
-#[test]
-fn paper_scalar_bound_never_invents_closer_neighbors() {
-    let exact = run_with(
-        |q| QueryRequest::knn(q, 5).with_bound_mode(BoundMode::Exact),
-        4,
-        5,
-    );
-    let scalar = run_with(
-        |q| QueryRequest::knn(q, 5).with_bound_mode(BoundMode::PaperScalar),
-        4,
-        5,
-    );
-    assert_eq!(exact.len(), scalar.len());
-    let mut mismatches = 0usize;
-    for (e, s) in exact.iter().zip(&scalar) {
-        assert_eq!(e.len(), s.len());
-        for (de, ds) in e.iter().zip(s) {
-            // the scalar bound can only *miss* true neighbors, which makes
-            // reported distances ≥ the exact ones
-            assert!(ds >= de, "scalar bound produced a closer neighbor");
-            if ds > de {
-                mismatches += 1;
-            }
-        }
-    }
-    // On smooth 3-D data the scalar bound is almost always right — the
-    // ablation exists to show "almost", not "always".
-    println!(
-        "paper-scalar mismatched {mismatches} of {} neighbor slots",
-        5 * exact.len()
-    );
 }

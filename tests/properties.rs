@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use panda::comm::{run_cluster, ClusterConfig};
+use panda::core::QueryConfig;
 use panda::data::scatter;
 use panda::prelude::*;
 
@@ -112,8 +113,7 @@ proptest! {
                     myq.push(q, i as u64);
                 }
             }
-            let qcfg = QueryRequest::knn(&myq, k).to_query_config();
-            let res = query_distributed(comm, &tree, &myq, &qcfg).unwrap();
+            let res = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(k)).unwrap();
             res.neighbors
                 .iter()
                 .map(|ns| ns.iter().map(|n| n.dist_sq).collect::<Vec<f32>>())

@@ -3,6 +3,7 @@
 //! breakdown accounting.
 
 use panda::comm::{run_cluster, ClusterConfig, MachineProfile};
+use panda::core::QueryConfig;
 use panda::data::{cosmology, queries_from, scatter};
 use panda::prelude::*;
 
@@ -16,8 +17,7 @@ fn run_times(ranks: usize, n: usize, seed: u64) -> (f64, f64) {
         comm.barrier();
         let t_build = comm.now();
         let myq = scatter(&queries, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let res = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(5)).expect("query");
         comm.barrier();
         let t_total = comm.now();
         (t_build, t_total - t_build, res.breakdown)
@@ -74,8 +74,7 @@ fn breakdown_accounts_for_total() {
         let mine = scatter(&all, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
         let myq = scatter(&queries, comm.rank(), comm.size());
-        let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-        let res = query_distributed(comm, &tree, &myq, &qcfg).expect("query");
+        let res = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(5)).expect("query");
         (tree.breakdown, res.breakdown)
     });
     for o in &out {
@@ -133,8 +132,7 @@ fn communication_grows_with_ranks() {
             let mine = scatter(&all, comm.rank(), comm.size());
             let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
             let myq = scatter(&queries, comm.rank(), comm.size());
-            let qcfg = QueryRequest::knn(&myq, 5).to_query_config();
-            let _ = query_distributed(comm, &tree, &myq, &qcfg).expect("q");
+            let _ = query_distributed(comm, &tree, &myq, &QueryConfig::with_k(5)).expect("q");
         });
         totals.push(panda::comm::total_stats(&out).total_bytes());
     }
