@@ -59,14 +59,6 @@ pub trait NnBackend {
     /// Dimensionality of the indexed points.
     fn dims(&self) -> usize;
 
-    /// Monotonic version stamp of the indexed data, used by caches to
-    /// invalidate memoized results. Immutable backends keep the default
-    /// constant `0`; mutable backends must return a value that changes
-    /// whenever a write could alter any query's answer.
-    fn data_epoch(&self) -> u64 {
-        0
-    }
-
     /// The backend's `panda_obs` metrics registry, when it keeps one.
     /// Front ends (e.g. `ServiceHandle::telemetry` in `panda_service`)
     /// merge it into their own snapshot so one exposition call covers

@@ -59,8 +59,6 @@ use crate::engine::{NeighborTable, NnBackend, QueryRequest, QueryResponse};
 use crate::error::{PandaError, Result};
 use crate::faultpoint::{self, points};
 use crate::global_tree::GlobalKdTree;
-use crate::heap::Neighbor;
-use crate::local_tree::QueryWorkspace;
 use crate::point::PointSet;
 use crate::query_distributed::{owned_pipeline, Owned, OwnedOutput, RemoteStats};
 use crate::supervise::{panic_message, restart_backoff};
@@ -77,12 +75,6 @@ enum ShardJob {
         cfg: Box<QueryConfig>,
         trace: TraceId,
     },
-    /// Purely local fixed-radius serve (no collectives).
-    Radius {
-        coords: Vec<f32>,
-        qids: Vec<u64>,
-        r_sq: f32,
-    },
     /// Reset the comm endpoint after a torn round; ack with
     /// [`ShardReply::Quiesced`].
     Quiesce { epoch: u64 },
@@ -90,16 +82,11 @@ enum ShardJob {
     Shutdown,
 }
 
-/// Per-query results of a radius job, CSR-style in routed order.
-struct RadiusSlice {
-    qids: Vec<u64>,
-    counts: Vec<u32>,
-    arena: Vec<Neighbor>,
-}
-
+// One reply per shard per round: moving the inline output through the
+// channel is cheaper than boxing it.
+#[allow(clippy::large_enum_variant)]
 enum ShardReply {
     Knn(Result<OwnedOutput>),
-    Radius(Result<RadiusSlice>),
     Quiesced,
 }
 
@@ -297,83 +284,6 @@ impl ShardedIndex {
         self.restarts.get()
     }
 
-    /// Distributed fixed-radius search: per query, **all** dataset points
-    /// strictly within `radius`, ascending by `(distance, id)`, as a flat
-    /// CSR [`NeighborTable`] (row `i` answers `queries.point(i)`).
-    ///
-    /// Unlike KNN there is no bound-refinement loop: each query is routed
-    /// to every shard whose region intersects the ball and the workers
-    /// serve purely locally — no collectives at all.
-    pub fn query_radius_all(&self, queries: &PointSet, radius: f32) -> Result<NeighborTable> {
-        if radius.is_nan() || radius <= 0.0 {
-            return Err(PandaError::BadRadius { radius });
-        }
-        queries.validate()?;
-        if queries.dims() != self.dims {
-            return Err(PandaError::DimsMismatch {
-                expected: self.dims,
-                got: queries.dims(),
-            });
-        }
-        let r_sq = radius * radius;
-        let mut counters = QueryCounters::default();
-        let mut coords: Vec<Vec<f32>> = vec![Vec::new(); self.n_shards];
-        let mut qids: Vec<Vec<u64>> = vec![Vec::new(); self.n_shards];
-        let mut targets = Vec::new();
-        for i in 0..queries.len() {
-            let q = queries.point(i);
-            targets.clear();
-            self.global
-                .ranks_in_ball(q, r_sq, &mut targets, &mut counters);
-            for &s in &targets {
-                coords[s].extend_from_slice(q);
-                qids[s].push(i as u64);
-            }
-        }
-        let slices = {
-            let mut d = lock_dispatch(self);
-            for (shard, (c, q)) in coords.into_iter().zip(qids).enumerate() {
-                d.job_tx[shard]
-                    .send(ShardJob::Radius {
-                        coords: c,
-                        qids: q,
-                        r_sq,
-                    })
-                    .map_err(|_| shard_gone())?;
-            }
-            self.gather_radius(&mut d)?
-        };
-        let mut row_counts = vec![0u32; queries.len()];
-        for s in &slices {
-            for (&qid, &cnt) in s.qids.iter().zip(&s.counts) {
-                row_counts[qid as usize] += cnt;
-            }
-        }
-        let mut table = NeighborTable::with_row_counts(&row_counts)?;
-        let mut written = vec![0u32; queries.len()];
-        for s in &slices {
-            let mut cur = 0usize;
-            for (&qid, &cnt) in s.qids.iter().zip(&s.counts) {
-                let qid = qid as usize;
-                let row = table.row_mut(qid);
-                for n in &s.arena[cur..cur + cnt as usize] {
-                    row[written[qid] as usize] = *n;
-                    written[qid] += 1;
-                }
-                cur += cnt as usize;
-            }
-        }
-        for i in 0..queries.len() {
-            table.row_mut(i).sort_by(|a, b| {
-                a.dist_sq
-                    .partial_cmp(&b.dist_sq)
-                    .expect("finite distances")
-                    .then(a.id.cmp(&b.id))
-            });
-        }
-        Ok(table)
-    }
-
     /// One serialized KNN round: scatter the routed slices, gather every
     /// shard's output, and on any failure re-synchronize the mesh before
     /// surfacing the root cause.
@@ -402,13 +312,14 @@ impl ShardedIndex {
         let gather_start = Instant::now();
         let mut outs = Vec::with_capacity(self.n_shards);
         let mut errs = Vec::new();
-        for _ in 0..self.n_shards {
+        while outs.len() + errs.len() < self.n_shards {
             match d.reply_rx.recv() {
-                Ok(ShardReply::Knn(res)) => match res {
-                    Ok(o) => outs.push(o),
-                    Err(e) => errs.push(e),
-                },
-                Ok(_) => unreachable!("shard reply protocol violation"),
+                Ok(ShardReply::Knn(Ok(o))) => outs.push(o),
+                Ok(ShardReply::Knn(Err(e))) => errs.push(e),
+                // A late ack of a quiesce that gave up on a dead shard;
+                // drain and ignore it, as `quiesce_locked` does with
+                // straggler round replies.
+                Ok(ShardReply::Quiesced) => {}
                 Err(_) => return Err(shard_gone()),
             }
         }
@@ -420,27 +331,6 @@ impl ShardedIndex {
             return Err(pick_root_cause(errs));
         }
         trace::record(trace_id, Stage::Gather, gather_start);
-        Ok(outs)
-    }
-
-    fn gather_radius(&self, d: &mut Dispatch) -> Result<Vec<RadiusSlice>> {
-        let mut outs = Vec::with_capacity(self.n_shards);
-        let mut errs = Vec::new();
-        for _ in 0..self.n_shards {
-            match d.reply_rx.recv() {
-                Ok(ShardReply::Radius(res)) => match res {
-                    Ok(s) => outs.push(s),
-                    Err(e) => errs.push(e),
-                },
-                Ok(_) => unreachable!("shard reply protocol violation"),
-                Err(_) => return Err(shard_gone()),
-            }
-        }
-        if !errs.is_empty() {
-            // Radius jobs never touch the comm endpoint, so no quiesce is
-            // needed — the failure is local to a worker.
-            return Err(pick_root_cause(errs));
-        }
         Ok(outs)
     }
 
@@ -655,7 +545,6 @@ fn worker_loop(
     restarts: &Counter,
     mut meter: CommMeter,
 ) {
-    let mut ws = QueryWorkspace::new();
     let mut consecutive_panics = 0u32;
     loop {
         let job = match job_rx.recv() {
@@ -697,25 +586,6 @@ fn worker_loop(
                     ))),
                 }
             }
-            ShardJob::Radius { coords, qids, r_sq } => {
-                let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    run_radius_job(tree, shard, &coords, &qids, r_sq, &mut ws)
-                }));
-                match res {
-                    Ok(res) => {
-                        if res.is_ok() {
-                            consecutive_panics = 0;
-                        }
-                        ShardReply::Radius(res)
-                    }
-                    Err(panic) => ShardReply::Radius(Err(supervise_panic(
-                        shard,
-                        &panic,
-                        restarts,
-                        &mut consecutive_panics,
-                    ))),
-                }
-            }
         };
         if reply_tx.send(body).is_err() {
             return; // front handle dropped mid-round
@@ -737,33 +607,6 @@ fn supervise_panic(
         "shard {shard} panicked mid-batch: {}",
         panic_message(panic)
     ))
-}
-
-fn run_radius_job(
-    tree: &DistKdTree,
-    shard: usize,
-    coords: &[f32],
-    qids: &[u64],
-    r_sq: f32,
-    ws: &mut QueryWorkspace,
-) -> Result<RadiusSlice> {
-    faultpoint::maybe_fail_ctx(points::SHARD_WORKER_RADIUS, shard as u64)?;
-    let dims = tree.global.dims();
-    let mut counters = QueryCounters::default();
-    let mut counts = Vec::with_capacity(qids.len());
-    let mut arena = Vec::new();
-    for (i, _) in qids.iter().enumerate() {
-        let q = &coords[i * dims..(i + 1) * dims];
-        let start = arena.len();
-        tree.local
-            .radius_into(q, r_sq, &mut arena, ws, &mut counters);
-        counts.push((arena.len() - start) as u32);
-    }
-    Ok(RadiusSlice {
-        qids: qids.to_vec(),
-        counts,
-        arena,
-    })
 }
 
 #[cfg(test)]
@@ -888,22 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn radius_all_matches_single_shard() {
-        let all = random_ps(700, 3, 45);
-        let queries = random_ps(12, 3, 46);
-        let idx = ShardedIndex::build(&all, 3, &DistConfig::default()).unwrap();
-        let got = idx.query_radius_all(&queries, 1.5).unwrap();
-        let local = KnnIndex::build(&all, &TreeConfig::default()).unwrap();
-        for i in 0..queries.len() {
-            let want = local
-                .tree()
-                .query_radius_all(queries.point(i), 1.5)
-                .unwrap();
-            assert_eq!(got.row(i), &want[..], "query {i}");
-        }
-    }
-
-    #[test]
     fn empty_query_set_is_fine() {
         let all = random_ps(100, 3, 47);
         let idx = ShardedIndex::build(&all, 2, &DistConfig::default()).unwrap();
@@ -920,19 +747,6 @@ mod tests {
         for queries in [random_ps(4, 2, 49), PointSet::new(2).unwrap()] {
             let err = idx.query(&QueryRequest::knn(&queries, 3));
             assert!(matches!(err, Err(PandaError::DimsMismatch { .. })));
-            let err = idx.query_radius_all(&queries, 1.0);
-            assert!(matches!(err, Err(PandaError::DimsMismatch { .. })));
-        }
-    }
-
-    #[test]
-    fn radius_all_rejects_bad_radius_with_typed_error() {
-        let all = random_ps(100, 3, 48);
-        let idx = ShardedIndex::build(&all, 2, &DistConfig::default()).unwrap();
-        let queries = random_ps(4, 3, 49);
-        for r in [0.0, -1.0, f32::NAN] {
-            let err = idx.query_radius_all(&queries, r);
-            assert!(matches!(err, Err(PandaError::BadRadius { .. })), "{r}");
         }
     }
 }

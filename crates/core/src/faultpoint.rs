@@ -54,8 +54,6 @@ pub mod points {
     /// Shard worker, start of a KNN job (context = shard id). Fires on
     /// the worker thread, before the collective pipeline is entered.
     pub const SHARD_WORKER_QUERY: &str = "shard.worker.query";
-    /// Shard worker, start of a fixed-radius job (context = shard id).
-    pub const SHARD_WORKER_RADIUS: &str = "shard.worker.radius";
     /// Query-service micro-batch drain/execute path.
     pub const SERVICE_DRAIN: &str = "service.drain";
     /// Mutable-index write-log append (`MutableIndex::insert`).

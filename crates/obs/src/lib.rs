@@ -6,7 +6,7 @@
 //!
 //! * **Metrics** — lock-free [`Counter`] / [`Gauge`] / [`Histogram`]
 //!   handles registered under dotted names in a [`Registry`]
-//!   (`service.cache.hits`, `store.wal.fsyncs`, `comm.sent_bytes`,
+//!   (`service.rejected`, `store.wal.fsyncs`, `comm.sent_bytes`,
 //!   `shard.restarts`, …), snapshotted coherently into a [`Snapshot`].
 //! * **Tracing** — sampled per-query pipeline spans ([`trace`]): a
 //!   [`TraceId`] minted at `ServiceHandle::submit` rides the micro-batch

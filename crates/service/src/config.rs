@@ -42,16 +42,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Behavior when the queue is full.
     pub overflow: OverflowPolicy,
-    /// Total capacity (in submissions) of the hot-query result cache;
-    /// `0` (the default) disables caching entirely. When enabled,
-    /// `submit` resolves repeated submissions — same coordinate bit
-    /// patterns, `k` and radius — straight from an LRU
-    /// memo without touching the queue or the backend. The cache is
-    /// invalidated whenever the backend's
-    /// [`data_epoch`](panda_core::engine::NnBackend::data_epoch) moves,
-    /// so mutable backends never serve stale answers. Hits and misses
-    /// are counted in [`crate::ServiceStats`].
-    pub cache_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -60,7 +50,6 @@ impl Default for ServiceConfig {
             max_batch: 256,
             queue_capacity: 8192,
             overflow: OverflowPolicy::Block,
-            cache_capacity: 0,
         }
     }
 }
@@ -84,15 +73,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_overflow(mut self, overflow: OverflowPolicy) -> Self {
         self.overflow = overflow;
-        self
-    }
-
-    /// Set the hot-query result-cache capacity in submissions (`0`
-    /// disables the cache, the default); see
-    /// [`cache_capacity`](Self::cache_capacity).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
         self
     }
 

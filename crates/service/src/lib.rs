@@ -70,19 +70,6 @@
 //! are locality plays — every client gets bit-identical neighbors to a
 //! direct `query_session` call (pinned by `tests/service_parity.rs`).
 //!
-//! ## Caching hot queries
-//!
-//! Serving workloads repeat themselves; with
-//! [`ServiceConfig::with_cache_capacity`] the service memoizes resolved
-//! submissions in an LRU keyed on the coordinate **bit patterns**, `k`
-//! and radius — a repeat resolves straight from the memo
-//! (zero-copy, no queue, no backend) and is counted in
-//! [`ServiceStats::cache_hits`]. The cache invalidates itself whenever
-//! the backend's
-//! [`data_epoch`](panda_core::engine::NnBackend::data_epoch) moves, so
-//! mutable backends (`panda-store`) never serve stale answers. Off by
-//! default.
-//!
 //! ## Serving the distributed engine
 //!
 //! The sharded engine is a first-class backend here:
@@ -125,7 +112,6 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 mod config;
 mod metrics;
 mod service;

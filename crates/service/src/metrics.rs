@@ -35,8 +35,6 @@ pub(crate) struct Metrics {
     pub cancelled: Counter,
     pub scheduler_restarts: Counter,
     pub abandoned: Counter,
-    pub cache_hits: Counter,
-    pub cache_misses: Counter,
     pub queue_depth: Gauge,
     pub max_queue_depth: Gauge,
     batch_hist: Histogram,
@@ -61,8 +59,6 @@ impl Metrics {
             cancelled: registry.counter("service.cancelled"),
             scheduler_restarts: registry.counter("service.scheduler_restarts"),
             abandoned: registry.counter("service.abandoned"),
-            cache_hits: registry.counter("service.cache.hits"),
-            cache_misses: registry.counter("service.cache.misses"),
             queue_depth: registry.gauge("service.queue_depth"),
             max_queue_depth: registry.gauge("service.queue_depth_max"),
             batch_hist: registry.histogram("service.batch_size", BATCH_BUCKETS),
@@ -101,8 +97,6 @@ impl Metrics {
             cancelled: self.cancelled.get(),
             scheduler_restarts: self.scheduler_restarts.get(),
             abandoned: self.abandoned.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
             queue_depth: self.queue_depth.get() as usize,
             max_queue_depth: self.max_queue_depth.get() as usize,
             batch_hist: std::array::from_fn(|i| batch.counts[i]),
@@ -137,15 +131,6 @@ pub struct ServiceStats {
     /// Tickets whose client dropped the handle before the reply arrived
     /// (e.g. after a `wait_timeout` miss); the reply was discarded.
     pub abandoned: u64,
-    /// Submissions answered straight from the hot-query result cache
-    /// (counted in [`submitted`](Self::submitted) but not in
-    /// [`queries`](Self::queries) — a hit never joins a batch, so batch
-    /// statistics stay honest). Always `0` when
-    /// [`crate::ServiceConfig::cache_capacity`] is `0`.
-    pub cache_hits: u64,
-    /// Cache probes that missed and fell through to the normal queue
-    /// path. `0` when the cache is disabled (disabled ≠ missing).
-    pub cache_misses: u64,
     /// Query points queued at snapshot time.
     pub queue_depth: usize,
     /// Largest queued query-point count ever observed.
@@ -305,13 +290,11 @@ mod tests {
     fn registry_view_matches_stats_view() {
         let m = Metrics::new();
         m.submitted.add(5);
-        m.cache_hits.add(2);
         m.record_batch(16);
         m.record_latency(Duration::from_micros(3));
         let snap = m.registry.snapshot();
         let stats = m.snapshot();
         assert_eq!(snap.counter("service.submitted"), Some(stats.submitted));
-        assert_eq!(snap.counter("service.cache.hits"), Some(stats.cache_hits));
         assert_eq!(
             snap.histogram("service.batch_size").unwrap().total(),
             stats.batches

@@ -12,7 +12,6 @@ use panda_core::{faultpoint, NeighborTable, PandaError, PointSet, QueryCounters,
 use panda_obs::trace::{self, Stage};
 use panda_obs::{Snapshot, TraceId};
 
-use crate::cache::{CacheKey, ResultCache};
 use crate::config::{OverflowPolicy, ServiceConfig};
 use crate::metrics::{Metrics, ServiceStats};
 use crate::ticket::{Ticket, TicketReply, TicketShared, WakeHub};
@@ -42,10 +41,6 @@ struct Pending {
     /// submission is still queued when `enqueued_at + deadline` passes,
     /// the scheduler sheds it at flush time instead of executing it.
     deadline: Option<Duration>,
-    /// Result-cache key plus the backend data epoch sampled at probe
-    /// time; `Some` only when the cache is enabled and this submission
-    /// missed it (a successful execution memoizes the reply here).
-    cache_key: Option<(Arc<CacheKey>, u64)>,
     /// Sampled pipeline trace id minted at submit ([`TraceId::NONE`] for
     /// the unsampled majority).
     trace: TraceId,
@@ -92,11 +87,6 @@ struct ServiceInner {
     /// Ticket wake-up: one broadcast per resolved micro-batch.
     wake: Arc<WakeHub>,
     metrics: Metrics,
-    /// Hot-query result cache (`None` when
-    /// [`ServiceConfig::cache_capacity`] is `0`). Guarded by its own
-    /// mutex, not the queue lock: probes and populates never serialize
-    /// submitters against the scheduler.
-    cache: Option<Mutex<ResultCache>>,
 }
 
 impl ServiceInner {
@@ -153,35 +143,6 @@ impl ServiceInner {
         } else {
             trace::maybe_sample()
         };
-        // Hot-query cache probe: a repeated submission resolves right
-        // here with a zero-copy clone of the memoized reply — no queue,
-        // no scheduler, no backend. The backend data epoch is sampled
-        // at probe time; `lookup` clears the cache if it moved, and the
-        // same sample guards the eventual insert on the miss path.
-        let cache_key = match &self.cache {
-            Some(cache) => {
-                let ck = Arc::new(CacheKey::new(queries, key.k, key.radius_bits));
-                let now_epoch = self.backend.data_epoch();
-                let probe_start = Instant::now();
-                let hit = cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .lookup(&ck, now_epoch);
-                if let Some(reply) = hit {
-                    self.metrics.submitted.inc();
-                    self.metrics.cache_hits.inc();
-                    self.metrics.record_latency(probe_start.elapsed());
-                    // A cache hit is the whole pipeline: one Resolve span.
-                    trace::record(trace_id, Stage::Resolve, probe_start);
-                    return Ok(Ticket {
-                        shared: TicketShared::resolved(Arc::clone(&self.wake), Ok(reply)),
-                    });
-                }
-                self.metrics.cache_misses.inc();
-                Some((ck, now_epoch))
-            }
-            None => None,
-        };
         let ticket = TicketShared::pending(Arc::clone(&self.wake));
         // Stamped before any capacity wait, so the latency histogram
         // reflects what the client observed — including time parked on
@@ -221,7 +182,6 @@ impl ServiceInner {
                 ticket: Arc::clone(&ticket),
                 enqueued_at,
                 deadline: req.deadline(),
-                cache_key,
                 trace: trace_id,
             });
             st.queued_queries += n;
@@ -355,25 +315,13 @@ impl ServiceInner {
                 let shared = Arc::new(response);
                 let resolve_start = Instant::now();
                 let mut row = 0u32;
-                let mut memos: Vec<(Arc<CacheKey>, TicketReply, u64)> = Vec::new();
-                for mut m in members {
+                for m in members {
                     let n = m.n_queries as u32;
                     let reply = TicketReply::new(Arc::clone(&shared), row, n);
                     row += n;
-                    if let Some((ck, epoch)) = m.cache_key.take() {
-                        memos.push((ck, reply.clone(), epoch));
-                    }
                     let member_trace = m.trace;
                     self.resolve(m, Ok(reply));
                     trace::record(member_trace, Stage::Resolve, resolve_start);
-                }
-                if !memos.is_empty() {
-                    if let Some(cache) = &self.cache {
-                        let mut c = cache.lock().unwrap_or_else(PoisonError::into_inner);
-                        for (ck, reply, epoch) in memos {
-                            c.insert(ck, reply, epoch);
-                        }
-                    }
                 }
             }
             Ok(Err(e)) => {
@@ -635,8 +583,6 @@ impl QueryService {
             idle: Condvar::new(),
             wake: WakeHub::new(),
             metrics: Metrics::default(),
-            cache: (cfg.cache_capacity > 0)
-                .then(|| Mutex::new(ResultCache::new(cfg.cache_capacity))),
         });
         let scheduler = {
             let inner = Arc::clone(&inner);

@@ -30,22 +30,19 @@ pub enum FsyncPolicy {
 ///
 /// Compaction triggers when **any** threshold is reached: the fresh log
 /// holds at least [`compact_points`](Self::compact_points) points, the
-/// log's resident size reaches [`compact_bytes`](Self::compact_bytes),
-/// or the total tombstone count reaches
-/// [`max_deleted`](Self::max_deleted). The tombstone threshold matters
-/// for query cost, not memory: every query inflates its candidate heaps
-/// by the tombstone count to stay exact under deletions, so unbounded
-/// tombstone growth would slow reads — compaction physically drops the
-/// deleted points and resets the inflation to zero.
+/// log's resident size (coords + ids) reaches 1 MiB, or the total
+/// tombstone count reaches [`max_deleted`](Self::max_deleted). The
+/// tombstone threshold matters for query cost, not memory: every query
+/// inflates its candidate heaps by the tombstone count to stay exact
+/// under deletions, so unbounded tombstone growth would slow reads —
+/// compaction physically drops the deleted points and resets the
+/// inflation to zero.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Fresh-log point count that triggers a compaction (default 4096).
     /// The log is scanned exactly on every query, so this bounds the
     /// per-query brute-force work.
     pub compact_points: usize,
-    /// Fresh-log resident bytes (coords + ids) that trigger a
-    /// compaction (default 1 MiB).
-    pub compact_bytes: usize,
     /// Total tombstones (tree + frozen segment) that trigger a
     /// compaction (default 1024). Bounds the query-side heap inflation.
     pub max_deleted: usize,
@@ -65,7 +62,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         Self {
             compact_points: 4096,
-            compact_bytes: 1 << 20,
             max_deleted: 1024,
             tree: TreeConfig::default(),
             synchronous_compaction: false,
@@ -84,13 +80,6 @@ impl StoreConfig {
     #[must_use]
     pub fn with_compact_points(mut self, n: usize) -> Self {
         self.compact_points = n;
-        self
-    }
-
-    /// Set the fresh-log byte-size compaction threshold.
-    #[must_use]
-    pub fn with_compact_bytes(mut self, bytes: usize) -> Self {
-        self.compact_bytes = bytes;
         self
     }
 
@@ -131,13 +120,11 @@ mod tests {
     fn builder_sets_every_knob() {
         let cfg = StoreConfig::new()
             .with_compact_points(7)
-            .with_compact_bytes(512)
             .with_max_deleted(3)
             .with_tree(TreeConfig::default().with_bucket_size(9))
             .with_synchronous_compaction(true)
             .with_fsync(FsyncPolicy::EveryN(16));
         assert_eq!(cfg.compact_points, 7);
-        assert_eq!(cfg.compact_bytes, 512);
         assert_eq!(cfg.max_deleted, 3);
         assert_eq!(cfg.tree.bucket_size, 9);
         assert!(cfg.synchronous_compaction);

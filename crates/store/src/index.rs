@@ -21,6 +21,12 @@ use crate::config::StoreConfig;
 use crate::stats::{StoreMetrics, StoreStats};
 use crate::wal::{Wal, WalRecord};
 
+/// Fresh-log resident bytes (coords + ids) that trigger a compaction,
+/// alongside `StoreConfig::compact_points`. With the default 4,096-point
+/// threshold it never fires first (a 16-D log that long is 288 KiB); it
+/// caps the log when the point threshold is raised.
+const COMPACT_BYTES: usize = 1 << 20;
+
 /// One immutable tree generation: the index plus the exact point set it
 /// was built from (retained so the next compaction can rebuild without
 /// re-reading the tree).
@@ -496,14 +502,6 @@ impl NnBackend for MutableIndex {
         self.inner.dims
     }
 
-    /// The write counters, not the compaction [`epoch`](MutableIndex::epoch):
-    /// compaction swaps never change answers, while every insert/remove
-    /// can — and both counters are monotone, so their sum moves on every
-    /// mutation and result caches invalidate exactly when they must.
-    fn data_epoch(&self) -> u64 {
-        self.inner.metrics.inserted.get() + self.inner.metrics.removed.get()
-    }
-
     fn registry(&self) -> Option<Registry> {
         Some(self.inner.metrics.registry.clone())
     }
@@ -533,7 +531,7 @@ impl StoreInner {
         }
         let log_bytes = st.fresh.len() * (self.dims * 4 + 8);
         let over = st.fresh.len() >= self.cfg.compact_points
-            || log_bytes >= self.cfg.compact_bytes
+            || log_bytes >= COMPACT_BYTES
             || st.deleted_tree.len() + st.deleted_frozen.len() >= self.cfg.max_deleted;
         if !over || (st.fresh.is_empty() && st.deleted_tree.is_empty()) {
             return None;
@@ -670,7 +668,6 @@ impl StoreInner {
                     // sets all change under one write lock — a query
                     // snapshot sees either the complete old world or
                     // the complete new one, never a mix.
-                    let epoch = gen.epoch;
                     self.tree.store(Arc::new(gen));
                     st.frozen = None;
                     // Tombstones laid after the freeze survive and now
@@ -690,7 +687,6 @@ impl StoreInner {
                     self.metrics.live_points.set(st.members.len() as u64);
                     self.metrics.log_points.set(st.fresh.len() as u64);
                     trace::record(trace_id, Stage::CompactSwap, swap_start);
-                    let _ = epoch;
                     Ok(())
                 }
                 Err(e) => {
@@ -1055,6 +1051,34 @@ mod tests {
         assert!(store.epoch() > e0);
         assert_eq!(store.stats().deleted, 0);
         assert_eq!(store.stats().tree_points, 7);
+    }
+
+    #[test]
+    fn log_bytes_trigger_compaction_when_the_point_threshold_is_out_of_reach() {
+        // At MAX_DIMS a logged point is 72 B, so 1 MiB is crossed by the
+        // 14,564th insert; the point threshold is lifted out of the way.
+        let dims = panda_core::MAX_DIMS;
+        let per_point = dims * 4 + 8;
+        let fits = COMPACT_BYTES.div_ceil(per_point) - 1;
+        assert_eq!(fits, 14_563);
+        let cfg = StoreConfig::default()
+            .with_compact_points(usize::MAX)
+            .with_synchronous_compaction(true);
+        let store = MutableIndex::new(dims, cfg).unwrap();
+        let point = |id: u64| {
+            let mut p = vec![0.5f32; dims];
+            p[0] = id as f32;
+            p
+        };
+        for id in 0..fits as u64 {
+            store.insert(&point(id), id).unwrap();
+        }
+        assert_eq!(store.stats().compactions, 0);
+        store.insert(&point(fits as u64), fits as u64).unwrap();
+        store.quiesce();
+        let stats = store.stats();
+        assert_eq!(stats.compactions, 1);
+        assert_eq!(stats.tree_points, fits + 1);
     }
 
     struct TmpDir(std::path::PathBuf);

@@ -35,12 +35,7 @@ fn main() -> Result<()> {
         SHARDS,
         &DistConfig::default(),
     )?);
-    let service = QueryService::new(
-        index,
-        ServiceConfig::default()
-            .with_max_batch(64)
-            .with_cache_capacity(64),
-    )?;
+    let service = QueryService::new(index, ServiceConfig::default().with_max_batch(64))?;
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let handle: ServiceHandle = service.handle();

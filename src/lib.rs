@@ -140,10 +140,7 @@
 //! requires `Send + Sync` backends
 //! (pinned by `tests/thread_safety.rs`); `KnnIndex`, `MutableIndex`,
 //! the in-process baselines, **and** the sharded distributed engine all
-//! qualify. An optional hot-query result cache
-//! (`ServiceConfig::with_cache_capacity`) memoizes repeated
-//! submissions, invalidated automatically when a mutable backend's
-//! `data_epoch` moves.
+//! qualify.
 //!
 //! ## Quickstart: streaming updates
 //!
@@ -335,10 +332,12 @@
 //! The 0.1 tuple methods (`query_batch`, `query_batch_ordered`, the
 //! free `query_distributed`, the baselines' `query_batch`s) survived
 //! one release as `#[deprecated]` shims and are now **removed**, as are
-//! the order knobs the engine now decides for itself and the request and
-//! config knobs that only one value ever used (last rows): a request says
-//! what to find, and the engine always runs it the same exact, batched,
-//! pipelined, box-routed way:
+//! the order knobs the engine now decides for itself, the request and
+//! config knobs that only one value ever used, and the surfaces no caller
+//! drove — the service result cache and the two distributed
+//! all-within-radius engines (last rows): a request says what to find,
+//! and the engine always runs it the same exact, batched, pipelined,
+//! box-routed way:
 //!
 //! | old (0.1, removed) | new |
 //! |---|---|
@@ -349,7 +348,6 @@
 //! | `flann.query_batch(&q, k, parallel)` / `ann.query_batch(&q, k)` | same request, any backend |
 //! | `results[i]` (a `Vec<Neighbor>`) | `res.neighbors.row(i)` (a `&[Neighbor]` into one arena) |
 //! | `QueryConfig { initial_radius, .. }` | `QueryRequest::with_radius` (validated: positive finite) |
-//! | `radius_search_distributed(..)` → `Vec<Vec<Neighbor>>` | same call → flat CSR `NeighborTable` |
 //! | `TreeConfig::default().with_query_order(order)` | nothing: the engine picks the order (`QueryRequest::with_order` still overrides one request) |
 //! | `ServiceConfig::default().with_order(order)` | nothing: the backend orders each coalesced batch |
 //! | `QueryRequest::with_bound_mode(mode)` | nothing — the engine always does this (exact bound; the paper's scalar bound stays an argument of `LocalKdTree::query_into` for the ablation) |
@@ -360,6 +358,13 @@
 //! | `QueryBreakdown::total(pipelined)` | `total_pipelined()` / `total_synchronous()` |
 //! | `DistConfig { gather_rank_bboxes, .. }` | nothing — `build_distributed` always gathers the rank boxes |
 //! | `ServiceConfig::default().with_parallel(p)` | nothing: the backend runs with the parallelism it was built with |
+//! | `ServiceConfig::default().with_cache_capacity(n)` | nothing — no caller |
+//! | `ServiceStats::cache_hits` / `cache_misses`, `service.cache.*` counters | nothing — no caller |
+//! | `NnBackend::data_epoch()` | nothing — no caller (its only reader was the cache) |
+//! | `radius_search_distributed(comm, &tree, &q, r)` | nothing — no caller; `with_radius` for radius-limited search (`LocalKdTree::query_radius_all` for all points within `r` of one query) |
+//! | `ShardedIndex::query_radius_all(&q, r)` | nothing — no caller; `with_radius` for radius-limited search |
+//! | `faultpoint::points::SHARD_WORKER_RADIUS` | nothing — the radius shard job is gone |
+//! | `StoreConfig::default().with_compact_bytes(b)` | nothing — a fixed 1 MiB log-size trigger (`with_compact_points` still sets the point trigger) |
 
 #![warn(missing_docs)]
 
@@ -381,7 +386,6 @@ pub mod prelude {
     };
     pub use panda_core::knn::KnnIndex;
     pub use panda_core::query_distributed::{query_distributed, DistQueryOutput};
-    pub use panda_core::radius::radius_search_distributed;
     pub use panda_core::{
         BoundMode, DistConfig, Neighbor, PandaError, PointSet, QueryCounters, QueryOrder, Result,
         TreeConfig,

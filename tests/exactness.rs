@@ -185,44 +185,6 @@ fn radius_limited_distributed_knn() {
 }
 
 #[test]
-fn distributed_radius_search_matches_brute() {
-    let all = cosmology::generate(2500, &Default::default(), 22);
-    let queries = queries_from(&all, 30, 0.02, 23);
-    let radius = 0.05f32;
-    let out = run_cluster(&ClusterConfig::new(4), |comm| {
-        let mine = scatter(&all, comm.rank(), comm.size());
-        let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
-        let myq = scatter(&queries, comm.rank(), comm.size());
-        let res = radius_search_distributed(comm, &tree, &myq, radius).expect("radius");
-        // CSR response: one row per local query, in submission order
-        assert_eq!(res.len(), myq.len());
-        (0..myq.len())
-            .map(|i| {
-                (
-                    myq.point(i).to_vec(),
-                    res.row(i)
-                        .iter()
-                        .map(|n| (n.dist_sq, n.id))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect::<Vec<_>>()
-    });
-    for o in &out {
-        for (q, got) in &o.result {
-            let mut expect: Vec<(f32, u64)> = (0..all.len())
-                .filter_map(|i| {
-                    let d = all.dist_sq_to(q, i);
-                    (d < radius * radius).then_some((d, all.id(i)))
-                })
-                .collect();
-            expect.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            assert_eq!(got, &expect);
-        }
-    }
-}
-
-#[test]
 fn local_trees_baseline_is_also_exact() {
     let all = cosmology::generate(2000, &Default::default(), 16);
     let queries = queries_from(&all, 30, 0.01, 17);

@@ -221,6 +221,10 @@ fn sweep(point: &str, steps: usize) {
     loop {
         let dir = tmp.run_dir(hit);
         let (oracle, fired) = run_killed(&dir, &ops, point, hit);
+        // Verification injects nothing but still excludes sibling tests:
+        // un-armed, its WAL and snapshot hits would match (and consume)
+        // whatever plan a concurrent sweep has armed.
+        let _excl = faultpoint::arm(FaultPlan::new());
         let who = format!("{point}, kill at hit {hit}");
         let store = MutableIndex::open(&dir, DIMS, cfg())
             .unwrap_or_else(|e| panic!("{who}: reopen failed: {e}"));

@@ -673,39 +673,3 @@ fn sharded_backend_under_concurrent_clients_matches_single_shard() {
     );
     service.shutdown();
 }
-
-/// The hot-query result cache (off by default, here capacity 64):
-/// repeats resolve from the cache with bit-identical rows, hits are
-/// counted, and a store write (data-epoch bump) invalidates everything.
-#[test]
-fn result_cache_hits_are_counted_and_epoch_invalidated() {
-    let points = random_ps(800, 3, 150);
-    let store = MutableIndex::from_points(&points, StoreConfig::default()).unwrap();
-    let service = QueryService::new(
-        Arc::new(store.clone()),
-        ServiceConfig::default().with_cache_capacity(64),
-    )
-    .unwrap();
-
-    let hot = PointSet::from_coords(3, points.point(7).to_vec()).unwrap();
-    let req = QueryRequest::knn(&hot, 5);
-    let first = rows(&service.submit(&req).unwrap().wait().unwrap());
-    let second = rows(&service.submit(&req).unwrap().wait().unwrap());
-    assert_eq!(first, second, "cached reply must be bit-identical");
-
-    let stats = service.stats();
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.cache_misses, 1);
-    // hits bypass the backend: only the miss ran as a query
-    assert_eq!(stats.queries, 1);
-    assert_eq!(stats.submitted, 2);
-
-    // a write moves the data epoch: the same key must miss again
-    store.insert(&[999.0, 999.0, 999.0], 777_000).unwrap();
-    let third = rows(&service.submit(&req).unwrap().wait().unwrap());
-    assert_eq!(first, third, "far-away insert does not change these rows");
-    let stats = service.stats();
-    assert_eq!(stats.cache_hits, 1, "epoch change invalidated the entry");
-    assert_eq!(stats.cache_misses, 2);
-    service.shutdown();
-}
