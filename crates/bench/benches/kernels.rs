@@ -94,7 +94,7 @@ fn bench_leaf_kernel_fused(c: &mut Criterion) {
                 bench.iter(|| {
                     let mut heap = KnnHeap::new(5);
                     for b in 0..n_buckets {
-                        pl.scan_portable(b * 32, 32, black_box(&q), &mut heap);
+                        pl.scan_portable(b * 32, 32, black_box(&q), &mut heap, |_| true);
                     }
                     black_box(heap.bound_sq())
                 })

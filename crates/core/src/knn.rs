@@ -90,6 +90,19 @@ impl KnnIndex {
     /// spliced into the table, so the batch hot path performs no
     /// per-query heap allocation.
     pub fn query_session(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
+        self.query_session_filtered(req, |_| true)
+    }
+
+    /// [`Self::query_session`] over the indexed points whose id satisfies
+    /// `live` (the store passes "not tombstoned"). The leaf kernel asks
+    /// `live` only of candidates that beat the heap bound, so each query
+    /// still searches for exactly `k` points and prunes as if only the
+    /// live ones were indexed.
+    pub fn query_session_filtered<F: Fn(u64) -> bool + Copy + Sync>(
+        &self,
+        req: &QueryRequest<'_>,
+        live: F,
+    ) -> Result<QueryResponse> {
         let t0 = std::time::Instant::now();
         req.validate()?;
         let (neighbors, counters) = self.batch_csr(
@@ -98,6 +111,7 @@ impl KnnIndex {
             req.radius_sq(),
             req.order(),
             req.parallel().unwrap_or(self.parallel),
+            live,
         )?;
         panda_obs::trace::record(req.trace(), panda_obs::Stage::LeafKernel, t0);
         Ok(QueryResponse::local(
@@ -107,17 +121,19 @@ impl KnnIndex {
         ))
     }
 
-    /// The CSR batch engine behind [`Self::query_session`], traversing
-    /// with the exact bound. The execution order affects locality only:
-    /// results and aggregate counters are identical for any order (each
-    /// query's traversal is independent).
-    pub(crate) fn batch_csr(
+    /// The CSR batch engine behind [`Self::query_session_filtered`],
+    /// traversing with the exact bound over the points `live` accepts.
+    /// The execution order affects locality only: results and aggregate
+    /// counters are identical for any order (each query's traversal is
+    /// independent).
+    pub(crate) fn batch_csr<F: Fn(u64) -> bool + Copy + Sync>(
         &self,
         queries: &PointSet,
         k: usize,
         radius_sq: f32,
         order: QueryOrder,
         parallel: bool,
+        live: F,
     ) -> Result<(NeighborTable, QueryCounters)> {
         if k == 0 {
             return Err(PandaError::ZeroK);
@@ -146,8 +162,14 @@ impl KnnIndex {
                        runs: &mut Vec<(u32, u32)>,
                        c: &mut QueryCounters| {
             heap.reset(k, radius_sq);
-            self.tree
-                .query_into(queries.point(qi as usize), heap, BoundMode::Exact, ws, c);
+            self.tree.query_into_filtered(
+                queries.point(qi as usize),
+                heap,
+                BoundMode::Exact,
+                ws,
+                c,
+                live,
+            );
             let start = arena.len();
             heap.append_sorted_into(arena);
             runs.push((qi, (arena.len() - start) as u32));
@@ -240,6 +262,7 @@ impl KnnIndex {
             f32::INFINITY,
             QueryOrder::default(),
             self.parallel,
+            |_| true,
         )?;
         Ok(table
             .iter()

@@ -13,8 +13,13 @@
 //! squared distances dimension-major **and** compares them against the
 //! candidate heap's current bound in the same pass, touching the heap only
 //! for lanes that survive the in-register comparison. There is no
-//! intermediate distance buffer and no second pass. Two implementations
-//! sit behind runtime dispatch:
+//! intermediate distance buffer and no second pass.
+//! [`PackedLeaves::scan_and_offer_filtered`] also takes a `live`
+//! predicate over ids, asked only for lanes that beat the bound: a point
+//! it rejects never takes a heap slot, so it never tightens the bound
+//! either. Every caller without a filter goes through `scan_and_offer`,
+//! which monomorphises the predicate to `|_| true` and compiles to the
+//! unfiltered kernel. Two implementations sit behind runtime dispatch:
 //!
 //! * an AVX2 `std::arch` kernel (8 × f32 per step, `vcmpps` + movemask
 //!   bound test), selected once per process when the CPU supports it;
@@ -189,6 +194,22 @@ impl PackedLeaves {
         q: &[f32],
         heap: &mut KnnHeap,
     ) -> ScanStats {
+        self.scan_and_offer_filtered(base, cap, q, heap, |_| true)
+    }
+
+    /// [`Self::scan_and_offer`] over the points whose id satisfies
+    /// `live`. The predicate is asked only for lanes that beat the heap
+    /// bound, so a rejected point is never offered: the heap holds the
+    /// nearest *live* points, and its bound is theirs.
+    #[inline]
+    pub fn scan_and_offer_filtered<F: Fn(u64) -> bool + Copy>(
+        &self,
+        base: usize,
+        cap: usize,
+        q: &[f32],
+        heap: &mut KnnHeap,
+        live: F,
+    ) -> ScanStats {
         debug_assert_eq!(cap % LANE, 0);
         debug_assert!(q.len() >= self.dims);
         // The AVX2 kernel's broadcast scratch is sized by MAX_DIMS; wider
@@ -200,30 +221,33 @@ impl PackedLeaves {
             let block = &self.coords[base * dims..base * dims + cap * dims];
             let ids = &self.ids[base..base + cap];
             // SAFETY: AVX2 support was verified at runtime just above.
-            return unsafe { avx2::scan(block, ids, cap, dims, q, heap) };
+            return unsafe { avx2::scan(block, ids, cap, dims, q, heap, live) };
         }
-        self.scan_portable(base, cap, q, heap)
+        self.scan_portable(base, cap, q, heap, live)
     }
 
-    /// The portable fused kernel, callable directly (tests and benches
-    /// compare it against both the AVX2 path and the scalar reference).
+    /// The portable fused kernel behind
+    /// [`Self::scan_and_offer_filtered`], callable directly (tests and
+    /// benches compare it against both the AVX2 path and the scalar
+    /// reference).
     #[inline]
-    pub fn scan_portable(
+    pub fn scan_portable<F: Fn(u64) -> bool + Copy>(
         &self,
         base: usize,
         cap: usize,
         q: &[f32],
         heap: &mut KnnHeap,
+        live: F,
     ) -> ScanStats {
         let dims = self.dims;
         let block = &self.coords[base * dims..base * dims + cap * dims];
         let ids = &self.ids[base..base + cap];
         match dims {
-            2 => portable::scan_impl::<2>(block, ids, cap, 2, q, heap),
-            3 => portable::scan_impl::<3>(block, ids, cap, 3, q, heap),
-            10 => portable::scan_impl::<10>(block, ids, cap, 10, q, heap),
-            15 => portable::scan_impl::<15>(block, ids, cap, 15, q, heap),
-            _ => portable::scan_impl::<0>(block, ids, cap, dims, q, heap),
+            2 => portable::scan_impl::<2, F>(block, ids, cap, 2, q, heap, live),
+            3 => portable::scan_impl::<3, F>(block, ids, cap, 3, q, heap, live),
+            10 => portable::scan_impl::<10, F>(block, ids, cap, 10, q, heap, live),
+            15 => portable::scan_impl::<15, F>(block, ids, cap, 15, q, heap, live),
+            _ => portable::scan_impl::<0, F>(block, ids, cap, dims, q, heap, live),
         }
     }
 
@@ -272,12 +296,13 @@ mod portable {
     use crate::heap::KnnHeap;
 
     #[inline]
-    fn offer_block(
+    fn offer_block<F: Fn(u64) -> bool>(
         acc: &[f32; LANE],
         ids: &[u64],
         j: usize,
         heap: &mut KnnHeap,
         stats: &mut ScanStats,
+        live: F,
     ) {
         let bound = heap.bound_sq();
         let mut any = false;
@@ -290,7 +315,7 @@ mod portable {
         }
         for (i, &d) in acc.iter().enumerate() {
             // offer() re-checks against the (possibly tightened) bound
-            if d < heap.bound_sq() && heap.offer(d, ids[j + i]) {
+            if d < heap.bound_sq() && live(ids[j + i]) && heap.offer(d, ids[j + i]) {
                 stats.accepted += 1;
             }
         }
@@ -322,19 +347,20 @@ mod portable {
     }
 
     #[inline]
-    pub(super) fn scan_impl<const D: usize>(
+    pub(super) fn scan_impl<const D: usize, F: Fn(u64) -> bool + Copy>(
         block: &[f32],
         ids: &[u64],
         cap: usize,
         dims: usize,
         q: &[f32],
         heap: &mut KnnHeap,
+        live: F,
     ) -> ScanStats {
         let mut stats = ScanStats::default();
         let mut j = 0;
         while j < cap {
             let acc = acc_block::<D>(block, cap, j, dims, q);
-            offer_block(&acc, ids, j, heap, &mut stats);
+            offer_block(&acc, ids, j, heap, &mut stats, live);
             j += LANE;
         }
         stats
@@ -392,20 +418,21 @@ mod avx2 {
     /// # Safety
     /// Caller must have verified AVX2 support at runtime.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scan(
+    pub(super) unsafe fn scan<F: Fn(u64) -> bool + Copy>(
         block: &[f32],
         ids: &[u64],
         cap: usize,
         dims: usize,
         q: &[f32],
         heap: &mut KnnHeap,
+        live: F,
     ) -> ScanStats {
         match dims {
-            2 => scan_impl::<2>(block, ids, cap, 2, q, heap),
-            3 => scan_impl::<3>(block, ids, cap, 3, q, heap),
-            10 => scan_impl::<10>(block, ids, cap, 10, q, heap),
-            15 => scan_impl::<15>(block, ids, cap, 15, q, heap),
-            _ => scan_impl::<0>(block, ids, cap, dims, q, heap),
+            2 => scan_impl::<2, F>(block, ids, cap, 2, q, heap, live),
+            3 => scan_impl::<3, F>(block, ids, cap, 3, q, heap, live),
+            10 => scan_impl::<10, F>(block, ids, cap, 10, q, heap, live),
+            15 => scan_impl::<15, F>(block, ids, cap, 15, q, heap, live),
+            _ => scan_impl::<0, F>(block, ids, cap, dims, q, heap, live),
         }
     }
 
@@ -413,13 +440,14 @@ mod avx2 {
     /// Caller must have verified AVX2 support at runtime; `block` must
     /// hold `cap * dims` floats and `ids` at least `cap` entries.
     #[target_feature(enable = "avx2")]
-    unsafe fn scan_impl<const D: usize>(
+    unsafe fn scan_impl<const D: usize, F: Fn(u64) -> bool>(
         block: &[f32],
         ids: &[u64],
         cap: usize,
         dims: usize,
         q: &[f32],
         heap: &mut KnnHeap,
+        live: F,
     ) -> ScanStats {
         let dims = if D > 0 { D } else { dims };
         debug_assert!(dims <= MAX_DIMS);
@@ -449,11 +477,11 @@ mod avx2 {
                 let mut buf = [0.0f32; LANE];
                 _mm256_storeu_ps(buf.as_mut_ptr(), acc);
                 // lanes in ascending index order — same tie-breaking as
-                // the scalar scan
+                // the scalar scan; offer() re-checks the bound
                 while mask != 0 {
                     let i = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
-                    if heap.offer(buf[i], ids[j + i]) {
+                    if live(ids[j + i]) && heap.offer(buf[i], ids[j + i]) {
                         stats.accepted += 1;
                     }
                 }
@@ -548,25 +576,33 @@ mod tests {
         assert_eq!(pl.memory_bytes(), LANE * 2 * 4 + LANE * 8);
     }
 
-    /// Reference implementation of scan_and_offer: the two-pass scalar
-    /// kernel (`distances()` + offer loop).
+    /// Reference implementation of scan_and_offer_filtered: the two-pass
+    /// scalar kernel (`distances()` + offer loop over live ids).
     fn scalar_scan(
         pl: &PackedLeaves,
         base: usize,
         cap: usize,
         q: &[f32],
         heap: &mut KnnHeap,
+        live: impl Fn(u64) -> bool,
     ) -> u32 {
         let mut out = Vec::new();
         pl.distances(base, cap, q, &mut out);
         let ids = &pl.ids()[base..base + cap];
         let mut accepted = 0;
         for i in 0..cap {
-            if out[i] < heap.bound_sq() && heap.offer(out[i], ids[i]) {
+            if out[i] < heap.bound_sq() && live(ids[i]) && heap.offer(out[i], ids[i]) {
                 accepted += 1;
             }
         }
         accepted
+    }
+
+    fn sorted(heap: KnnHeap) -> Vec<(f32, u64)> {
+        heap.into_sorted()
+            .iter()
+            .map(|x| (x.dist_sq, x.id))
+            .collect()
     }
 
     #[test]
@@ -581,33 +617,43 @@ mod tests {
                     })
                     .collect();
                 let (pl, base, cap) = pack_one(dims, &pts);
+                let base = base as usize;
                 for k in [1usize, 3, 64] {
                     let q: Vec<f32> = (0..dims).map(|d| (d as f32) * 0.71 - 1.0).collect();
-                    let mut h_ref = KnnHeap::new(k);
-                    let mut h_auto = KnnHeap::new(k);
-                    let mut h_port = KnnHeap::new(k);
-                    let a_ref = scalar_scan(&pl, base as usize, cap, &q, &mut h_ref);
-                    let s_auto = pl.scan_and_offer(base as usize, cap, &q, &mut h_auto);
-                    let s_port = pl.scan_portable(base as usize, cap, &q, &mut h_port);
-                    assert_eq!(a_ref, s_auto.accepted, "dims={dims} n={n} k={k}");
-                    assert_eq!(a_ref, s_port.accepted, "dims={dims} n={n} k={k}");
-                    let r: Vec<(f32, u64)> = h_ref
-                        .into_sorted()
-                        .iter()
-                        .map(|x| (x.dist_sq, x.id))
-                        .collect();
-                    let a: Vec<(f32, u64)> = h_auto
-                        .into_sorted()
-                        .iter()
-                        .map(|x| (x.dist_sq, x.id))
-                        .collect();
-                    let p: Vec<(f32, u64)> = h_port
-                        .into_sorted()
-                        .iter()
-                        .map(|x| (x.dist_sq, x.id))
-                        .collect();
-                    assert_eq!(r, a, "avx2 dims={dims} n={n} k={k}");
-                    assert_eq!(r, p, "portable dims={dims} n={n} k={k}");
+                    let mut h_plain = KnnHeap::new(k);
+                    let a_plain = pl.scan_and_offer(base, cap, &q, &mut h_plain).accepted;
+                    let plain = sorted(h_plain);
+                    // the id holding the last slot unfiltered (ids are i × 10)
+                    let kth = plain.last().expect("n ≥ 1").1;
+                    let filters: [(&str, &dyn Fn(u64) -> bool); 4] = [
+                        ("none", &|_| true),
+                        ("some", &|id| id % 30 != 0),
+                        ("all", &|_| false),
+                        ("kth", &|id| id != kth),
+                    ];
+                    for (name, live) in filters {
+                        let at = format!("dims={dims} n={n} k={k} filter={name}");
+                        let mut h_ref = KnnHeap::new(k);
+                        let mut h_auto = KnnHeap::new(k);
+                        let mut h_port = KnnHeap::new(k);
+                        let a_ref = scalar_scan(&pl, base, cap, &q, &mut h_ref, live);
+                        let s_auto = pl.scan_and_offer_filtered(base, cap, &q, &mut h_auto, live);
+                        let s_port = pl.scan_portable(base, cap, &q, &mut h_port, live);
+                        assert_eq!(a_ref, s_auto.accepted, "{at}");
+                        assert_eq!(a_ref, s_port.accepted, "{at}");
+                        let r = sorted(h_ref);
+                        assert_eq!(r, sorted(h_auto), "avx2 {at}");
+                        assert_eq!(r, sorted(h_port), "portable {at}");
+                        assert!(r.iter().all(|&(_, id)| live(id)), "{at}");
+                        match name {
+                            "none" => {
+                                assert_eq!(r, plain, "{at}");
+                                assert_eq!(a_ref, a_plain, "{at}");
+                            }
+                            "all" => assert!(r.is_empty(), "{at}"),
+                            _ => {}
+                        }
+                    }
                 }
             }
         }
@@ -638,18 +684,8 @@ mod tests {
         let mut h_auto = KnnHeap::new(3);
         let mut h_ref = KnnHeap::new(3);
         pl.scan_and_offer(base as usize, cap, &q, &mut h_auto);
-        scalar_scan(&pl, base as usize, cap, &q, &mut h_ref);
-        let a: Vec<(f32, u64)> = h_auto
-            .into_sorted()
-            .iter()
-            .map(|n| (n.dist_sq, n.id))
-            .collect();
-        let r: Vec<(f32, u64)> = h_ref
-            .into_sorted()
-            .iter()
-            .map(|n| (n.dist_sq, n.id))
-            .collect();
-        assert_eq!(a, r);
+        scalar_scan(&pl, base as usize, cap, &q, &mut h_ref, |_| true);
+        assert_eq!(sorted(h_auto), sorted(h_ref));
     }
 
     #[test]
@@ -660,7 +696,14 @@ mod tests {
         let mut h_fused = KnnHeap::new(4);
         let mut h_ref = KnnHeap::new(4);
         pl.scan_and_offer(base as usize, cap, &[1.0, 2.0, 3.0], &mut h_fused);
-        scalar_scan(&pl, base as usize, cap, &[1.0, 2.0, 3.0], &mut h_ref);
+        scalar_scan(
+            &pl,
+            base as usize,
+            cap,
+            &[1.0, 2.0, 3.0],
+            &mut h_ref,
+            |_| true,
+        );
         let f: Vec<u64> = h_fused.into_sorted().iter().map(|n| n.id).collect();
         let r: Vec<u64> = h_ref.into_sorted().iter().map(|n| n.id).collect();
         assert_eq!(f, r);

@@ -17,9 +17,11 @@
 //!   repeats along a path. Kept for the fidelity ablation.
 //!
 //! Leaf buckets go through the fused scan-and-offer kernel
-//! ([`super::PackedLeaves::scan_and_offer`]): distances are computed and
-//! compared against the heap bound in one pass, with no intermediate
-//! distance buffer.
+//! ([`super::PackedLeaves::scan_and_offer_filtered`]): distances are
+//! computed and compared against the heap bound in one pass, with no
+//! intermediate distance buffer. A filtered traversal
+//! ([`LocalKdTree::query_into_filtered`]) hands its `live` predicate to
+//! that kernel; [`LocalKdTree::query_into`] passes `|_| true`.
 
 use crate::config::BoundMode;
 use crate::counters::QueryCounters;
@@ -143,6 +145,23 @@ impl LocalKdTree {
         ws: &mut QueryWorkspace,
         counters: &mut QueryCounters,
     ) {
+        self.query_into_filtered(q, heap, mode, ws, counters, |_| true);
+    }
+
+    /// [`Self::query_into`] over the points whose id satisfies `live`.
+    /// The leaf kernel rejects the others before they reach the heap, so
+    /// the bound is always the k-th nearest *live* distance and pruning
+    /// runs as if the tree held the live points only: the distances
+    /// equal those of an unfiltered query over a tree built from them.
+    pub fn query_into_filtered<F: Fn(u64) -> bool + Copy>(
+        &self,
+        q: &[f32],
+        heap: &mut KnnHeap,
+        mode: BoundMode,
+        ws: &mut QueryWorkspace,
+        counters: &mut QueryCounters,
+        live: F,
+    ) {
         debug_assert_eq!(q.len(), self.dims);
         counters.queries += 1;
         if self.nodes.is_empty() {
@@ -172,7 +191,9 @@ impl LocalKdTree {
                 let base = node.a as usize;
                 let n = node.b as usize;
                 let cap = padded(n);
-                let stats = self.leaves.scan_and_offer(base, cap, q, heap);
+                let stats = self
+                    .leaves
+                    .scan_and_offer_filtered(base, cap, q, heap, live);
                 counters.points_scanned += cap as u64;
                 counters.leaf_kernel_calls += 1;
                 counters.kernel_blocks_pruned += stats.pruned_blocks as u64;

@@ -8,7 +8,9 @@ use panda_core::hist::SampledHistogram;
 use panda_core::knn::KnnIndex;
 use panda_core::local_tree::{PackedLeaves, LANE};
 use panda_core::partition::{partition_by_count, partition_in_place, partition_stable};
-use panda_core::{KnnHeap, Neighbor, PointSet, TreeConfig};
+use panda_core::{
+    BoundMode, KnnHeap, LocalKdTree, Neighbor, PointSet, QueryCounters, QueryWorkspace, TreeConfig,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -158,7 +160,7 @@ proptest! {
             }
 
             let s_auto = pl.scan_and_offer(base, cap, &q, &mut h_auto);
-            let s_port = pl.scan_portable(base, cap, &q, &mut h_port);
+            let s_port = pl.scan_portable(base, cap, &q, &mut h_port, |_| true);
             prop_assert_eq!(s_auto.accepted, accepted_ref);
             prop_assert_eq!(s_port.accepted, accepted_ref);
 
@@ -282,6 +284,63 @@ proptest! {
         prop_assert_eq!(iter_rows.len(), table.len());
         for (i, row) in iter_rows.iter().enumerate() {
             prop_assert_eq!(*row, table.row(i));
+        }
+    }
+
+    /// A filtered traversal over the whole tree equals an unfiltered one
+    /// over a tree built from the live points alone, for any dead subset
+    /// (none and all included): the same distance bits always, and the
+    /// same ids whenever the k + 1 nearest live points are at distinct
+    /// distances. Coarse lattices make ties the common case; fine ones
+    /// make them rare.
+    #[test]
+    fn filtered_traversal_equals_live_only_tree(
+        dims in 1usize..=4,
+        raw in proptest::collection::vec(0u32..1 << 20, 4..1200),
+        coarse in any::<bool>(),
+        marks in proptest::collection::vec(0u32..1000, 1200),
+        dead_per_mille in proptest::sample::select(vec![0u32, 100, 500, 900, 1000]),
+        k in 1usize..20,
+        qseed in 0u64..1000,
+    ) {
+        let n = raw.len() / dims;
+        let coords: Vec<f32> = raw[..n * dims]
+            .iter()
+            .map(|&r| if coarse { (r % 16) as f32 * 0.25 } else { r as f32 / 1024.0 })
+            .collect();
+        let ps = PointSet::from_coords(dims, coords).unwrap();
+        let live = |id: u64| marks[id as usize] >= dead_per_mille;
+        let mut live_ps = PointSet::new(dims).unwrap();
+        for i in 0..n {
+            if live(ps.id(i)) {
+                live_ps.push(ps.point(i), ps.id(i));
+            }
+        }
+        let cfg = TreeConfig::default().with_bucket_size(8);
+        let full = LocalKdTree::build(&ps, &cfg).unwrap();
+        let live_only = (!live_ps.is_empty()).then(|| LocalKdTree::build(&live_ps, &cfg).unwrap());
+
+        let near: Vec<f32> = ps.point(qseed as usize % n).to_vec();
+        let lattice: Vec<f32> = (0..dims).map(|d| ((qseed + d as u64) % 5) as f32).collect();
+        let far = vec![5000.0f32; dims];
+        let mut ws = QueryWorkspace::new();
+        for q in [near, lattice, far] {
+            let mut heap = KnnHeap::new(k);
+            let mut counters = QueryCounters::default();
+            full.query_into_filtered(&q, &mut heap, BoundMode::Exact, &mut ws, &mut counters, live);
+            let got = heap.into_sorted();
+            let want = live_only.as_ref().map_or(Vec::new(), |t| t.query(&q, k).unwrap());
+            let bits = |row: &[Neighbor]| row.iter().map(|x| x.dist_sq.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want), "n={} dims={} k={}", n, dims, k);
+            prop_assert!(got.iter().all(|x| live(x.id)));
+
+            let mut dists: Vec<f32> = (0..live_ps.len()).map(|i| live_ps.dist_sq_to(&q, i)).collect();
+            dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            dists.truncate(k + 1);
+            if dists.windows(2).all(|w| w[0] < w[1]) {
+                let ids = |row: &[Neighbor]| row.iter().map(|x| x.id).collect::<Vec<_>>();
+                prop_assert_eq!(ids(&got), ids(&want), "n={} dims={} k={}", n, dims, k);
+            }
         }
     }
 }

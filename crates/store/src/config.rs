@@ -31,12 +31,11 @@ pub enum FsyncPolicy {
 /// Compaction triggers when **any** threshold is reached: the fresh log
 /// holds at least [`compact_points`](Self::compact_points) points, the
 /// log's resident size (coords + ids) reaches 1 MiB, or the total
-/// tombstone count reaches [`max_deleted`](Self::max_deleted). The
-/// tombstone threshold matters for query cost, not memory: every query
-/// inflates its candidate heaps by the tombstone count to stay exact
-/// under deletions, so unbounded tombstone growth would slow reads —
-/// compaction physically drops the deleted points and resets the
-/// inflation to zero.
+/// tombstone count reaches [`max_deleted`](Self::max_deleted). Reads do
+/// not pay per tombstone: the leaf kernel rejects a tombstoned point
+/// before it can take a heap slot, so every query still searches for
+/// exactly `k` live points. Tombstones cost memory until compaction
+/// physically drops the deleted points.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Fresh-log point count that triggers a compaction (default 4096).
@@ -44,7 +43,8 @@ pub struct StoreConfig {
     /// per-query brute-force work.
     pub compact_points: usize,
     /// Total tombstones (tree + frozen segment) that trigger a
-    /// compaction (default 1024). Bounds the query-side heap inflation.
+    /// compaction (default 1024). Bounds memory and the copy-on-write
+    /// clone a `remove` may make, not read cost.
     pub max_deleted: usize,
     /// Tree construction parameters for each rebuilt generation.
     pub tree: TreeConfig,

@@ -11,7 +11,7 @@ use arc_swap::ArcSwap;
 use panda_core::engine::{NeighborTable, NnBackend, QueryRequest, QueryResponse};
 use panda_core::faultpoint::{self, points};
 use panda_core::knn::KnnIndex;
-use panda_core::local_tree::{PackedLeaves, LANE};
+use panda_core::local_tree::PackedLeaves;
 use panda_core::supervise::panic_message;
 use panda_core::{KnnHeap, Neighbor, PandaError, PointSet, QueryCounters, Result, TreeConfig};
 use panda_obs::trace::{self, Stage};
@@ -46,26 +46,27 @@ struct TreeGen {
 struct FrozenSeg {
     points: Arc<PointSet>,
     packed: Arc<PackedLeaves>,
-    cap: usize,
     id_set: Arc<HashSet<u64>>,
 }
 
 impl FrozenSeg {
     fn pack(points: PointSet) -> Self {
-        let mut packed = PackedLeaves::new(points.dims());
-        let n = points.len();
-        let cap = n.div_ceil(LANE) * LANE;
-        if n > 0 {
-            packed.push_leaf(n, |i, d| points.coord(i, d), |i| points.id(i));
-        }
         let id_set = points.ids().iter().copied().collect();
         Self {
+            packed: Arc::new(pack_log(&points)),
             points: Arc::new(points),
-            packed: Arc::new(packed),
-            cap,
             id_set: Arc::new(id_set),
         }
     }
+}
+
+/// A log segment as one lane-padded kernel bucket (none when empty).
+fn pack_log(points: &PointSet) -> PackedLeaves {
+    let mut packed = PackedLeaves::new(points.dims());
+    if !points.is_empty() {
+        packed.push_leaf(points.len(), |i, d| points.coord(i, d), |i| points.id(i));
+    }
+    packed
 }
 
 /// Mutable state behind the write lock. Every piece a query snapshot
@@ -79,8 +80,8 @@ struct WriteState {
     /// The log half currently being compacted (None otherwise).
     frozen: Option<FrozenSeg>,
     /// Tombstones whose live-at-the-time copy sat in the current tree
-    /// generation. Copy-on-write: replaced wholesale so query snapshots
-    /// stay immutable.
+    /// generation. Copy-on-write (`Arc::make_mut`): a query snapshot or
+    /// compaction task keeps the set it took.
     deleted_tree: Arc<HashSet<u64>>,
     /// Tombstones whose live copy sat in the frozen segment.
     deleted_frozen: Arc<HashSet<u64>>,
@@ -89,6 +90,21 @@ struct WriteState {
     compacting: bool,
     /// Most recent compaction failure, kept until taken.
     last_error: Option<PandaError>,
+}
+
+impl WriteState {
+    /// Drop the live copy of `id`: a fresh-log point physically, a frozen
+    /// or tree point by a tombstone (precedence fresh > frozen > tree;
+    /// older copies of a re-inserted id are always already tombstoned).
+    fn kill(&mut self, id: u64) {
+        if let Some(i) = self.fresh.ids().iter().position(|&x| x == id) {
+            self.fresh.swap_remove(i);
+        } else if self.frozen.as_ref().is_some_and(|f| f.id_set.contains(&id)) {
+            Arc::make_mut(&mut self.deleted_frozen).insert(id);
+        } else {
+            Arc::make_mut(&mut self.deleted_tree).insert(id);
+        }
+    }
 }
 
 /// Everything a background compaction needs, captured at freeze time
@@ -219,13 +235,7 @@ impl MutableIndex {
                 }
                 WalRecord::Remove { id } => {
                     if st.members.remove(&id) {
-                        if let Some(i) = st.fresh.ids().iter().position(|&x| x == id) {
-                            st.fresh.swap_remove(i);
-                        } else {
-                            let mut set = (*st.deleted_tree).clone();
-                            set.insert(id);
-                            st.deleted_tree = Arc::new(set);
-                        }
+                        st.kill(id);
                     }
                 }
             }
@@ -338,20 +348,7 @@ impl MutableIndex {
                 inner.lock_wal(wal).append(&WalRecord::Remove { id })?;
             }
             st.members.remove(&id);
-            if let Some(i) = st.fresh.ids().iter().position(|&x| x == id) {
-                st.fresh.swap_remove(i);
-            } else if st.frozen.as_ref().is_some_and(|f| f.id_set.contains(&id)) {
-                // The live copy sits in the frozen segment (precedence
-                // fresh > frozen > tree; older copies of a re-inserted
-                // id are always already tombstoned).
-                let mut set = (*st.deleted_frozen).clone();
-                set.insert(id);
-                st.deleted_frozen = Arc::new(set);
-            } else {
-                let mut set = (*st.deleted_tree).clone();
-                set.insert(id);
-                st.deleted_tree = Arc::new(set);
-            }
+            st.kill(id);
             inner.metrics.removed.inc();
             inner.metrics.live_points.set(st.members.len() as u64);
             inner.metrics.log_points.set(st.fresh.len() as u64);
@@ -673,15 +670,10 @@ impl StoreInner {
                     // Tombstones laid after the freeze survive and now
                     // target the new generation (which carried those
                     // points over); resolved ones are dropped.
-                    let survivors: HashSet<u64> = st
-                        .deleted_tree
-                        .iter()
-                        .filter(|id| !deleted_tree_at_freeze.contains(*id))
-                        .chain(st.deleted_frozen.iter())
-                        .copied()
-                        .collect();
-                    st.deleted_tree = Arc::new(survivors);
-                    st.deleted_frozen = Arc::new(HashSet::new());
+                    let frozen_dead = std::mem::take(Arc::make_mut(&mut st.deleted_frozen));
+                    let tree_dead = Arc::make_mut(&mut st.deleted_tree);
+                    tree_dead.retain(|id| !deleted_tree_at_freeze.contains(id));
+                    tree_dead.extend(frozen_dead);
                     st.compacting = false;
                     self.metrics.record_compaction(t0.elapsed());
                     self.metrics.live_points.set(st.members.len() as u64);
@@ -724,12 +716,12 @@ impl StoreInner {
         outcome
     }
 
-    /// The merged query path. Exactness: the tree answers with heaps
-    /// inflated by the tree tombstone count, the frozen segment with
-    /// heaps inflated by its tombstone count, the fresh log exactly;
-    /// after filtering tombstones each source still contributes its k
-    /// nearest *live* points, so the (distance, id)-sorted merge
-    /// truncated to k equals a brute-force scan of the live set.
+    /// The merged query path. Exactness: the tree and the frozen segment
+    /// reject their tombstoned ids inside the leaf kernel, and the fresh
+    /// log holds none, so every source contributes its k nearest *live*
+    /// points and the (distance, id)-sorted merge truncated to k equals
+    /// a brute-force scan of the live set. Tombstones cost a read one id
+    /// lookup per candidate that beats the bound, and never a heap slot.
     fn query(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
         let t0 = Instant::now();
         req.validate()?;
@@ -740,120 +732,58 @@ impl StoreInner {
             });
         }
         // Snapshot under the read lock; all heavy work happens after.
-        let (gen, frozen, deleted_tree, deleted_frozen, fresh_packed, fresh_cap, fresh_len) = {
+        let (gen, frozen, deleted_tree, deleted_frozen, fresh) = {
             let st = self.read_state();
-            let gen = self.tree.load_full();
-            let mut packed = PackedLeaves::new(self.dims);
-            let n = st.fresh.len();
-            let cap = n.div_ceil(LANE) * LANE;
-            if n > 0 {
-                packed.push_leaf(n, |i, d| st.fresh.coord(i, d), |i| st.fresh.id(i));
-            }
             (
-                gen,
-                st.frozen.clone(),
+                self.tree.load_full(),
+                st.frozen.clone().filter(|f| !f.points.is_empty()),
                 Arc::clone(&st.deleted_tree),
                 Arc::clone(&st.deleted_frozen),
-                packed,
-                cap,
-                n,
+                pack_log(&st.fresh),
             )
         };
+        let tree_query = |index: &KnnIndex| {
+            if deleted_tree.is_empty() {
+                index.query_session(req)
+            } else {
+                index.query_session_filtered(req, |id| !deleted_tree.contains(&id))
+            }
+        };
 
-        let k = req.k();
-        let radius_sq = req.radius_sq();
-        let n_queries = req.queries().len();
-
-        // Fast path: no log, no tombstones — the tree alone is exact.
-        let log_empty = frozen.as_ref().is_none_or(|f| f.points.is_empty()) && fresh_len == 0;
-        if log_empty && deleted_tree.is_empty() {
-            return match &gen.index {
-                Some(index) => index.query_session(req),
-                None => {
-                    // Empty store: all-empty rows.
-                    let mut table = NeighborTable::new();
-                    for _ in 0..n_queries {
-                        table.push_row(&[]);
-                    }
-                    let counters = QueryCounters {
-                        queries: n_queries as u64,
-                        ..QueryCounters::default()
-                    };
-                    Ok(QueryResponse::local(
-                        table,
-                        counters,
-                        t0.elapsed().as_secs_f64(),
-                    ))
-                }
-            };
+        // Fast path: no log — the tree alone is exact.
+        if let (Some(index), None, 0) = (&gen.index, &frozen, fresh.padded_len()) {
+            return tree_query(index);
         }
 
-        // Tree side, with heaps inflated by the tree tombstone count.
-        let k_tree = k + deleted_tree.len();
-        let tree_res = match &gen.index {
-            Some(index) => {
-                let mut treq = QueryRequest::knn(req.queries(), k_tree).with_order(req.order());
-                if let Some(r) = req.radius() {
-                    treq = treq.with_radius(r);
-                }
-                if let Some(p) = req.parallel() {
-                    treq = treq.with_parallel(p);
-                }
-                Some(index.query_session(&treq)?)
-            }
-            None => None,
-        };
+        // Tree side: the k nearest live points per query.
+        let tree_res = gen.index.as_ref().map(tree_query).transpose()?;
+        let n_queries = req.queries().len();
         let mut counters = tree_res.as_ref().map(|r| r.counters).unwrap_or_default();
         counters.queries = n_queries as u64;
 
-        // Log side: one fused-kernel scan of the frozen segment (heap
-        // inflated by its tombstone count) and one of the fresh log
-        // (exact), per query; then a three-way sorted merge.
-        let k_frozen = k + deleted_frozen.len();
-        let mut frozen_heap = KnnHeap::new(k_frozen.max(1));
-        let mut fresh_heap = KnnHeap::new(k.max(1));
-        let mut frozen_buf: Vec<Neighbor> = Vec::new();
-        let mut fresh_buf: Vec<Neighbor> = Vec::new();
+        // Log side: one fused-kernel scan of the frozen segment (its
+        // tombstones rejected in the kernel) and one of the fresh log,
+        // per query; then a three-way sorted merge.
+        let (k, radius_sq) = (req.k(), req.radius_sq());
+        let frozen_live = |id: u64| !deleted_frozen.contains(&id);
+        let mut heap = KnnHeap::new(k);
         let mut merged: Vec<Neighbor> = Vec::new();
         let mut table = NeighborTable::with_capacity(n_queries, k);
         for qi in 0..n_queries {
             let q = req.queries().point(qi);
             merged.clear();
             if let Some(r) = &tree_res {
-                merged.extend(
-                    r.neighbors
-                        .row(qi)
-                        .iter()
-                        .filter(|n| !deleted_tree.contains(&n.id)),
-                );
+                merged.extend_from_slice(r.neighbors.row(qi));
             }
             if let Some(f) = &frozen {
-                if !f.points.is_empty() {
-                    frozen_heap.reset(k_frozen, radius_sq);
-                    let stats = f.packed.scan_and_offer(0, f.cap, q, &mut frozen_heap);
-                    counters.points_scanned += f.cap as u64;
-                    counters.leaf_kernel_calls += 1;
-                    counters.kernel_blocks_pruned += stats.pruned_blocks as u64;
-                    counters.heap_ops += stats.accepted as u64;
-                    frozen_buf.clear();
-                    frozen_heap.append_sorted_into(&mut frozen_buf);
-                    merged.extend(
-                        frozen_buf
-                            .iter()
-                            .filter(|n| !deleted_frozen.contains(&n.id)),
-                    );
-                }
+                heap.reset(k, radius_sq);
+                scan_segment(&f.packed, q, &mut heap, frozen_live, &mut counters);
+                heap.append_sorted_into(&mut merged);
             }
-            if fresh_len > 0 {
-                fresh_heap.reset(k, radius_sq);
-                let stats = fresh_packed.scan_and_offer(0, fresh_cap, q, &mut fresh_heap);
-                counters.points_scanned += fresh_cap as u64;
-                counters.leaf_kernel_calls += 1;
-                counters.kernel_blocks_pruned += stats.pruned_blocks as u64;
-                counters.heap_ops += stats.accepted as u64;
-                fresh_buf.clear();
-                fresh_heap.append_sorted_into(&mut fresh_buf);
-                merged.extend_from_slice(&fresh_buf);
+            if fresh.padded_len() > 0 {
+                heap.reset(k, radius_sq);
+                scan_segment(&fresh, q, &mut heap, |_| true, &mut counters);
+                heap.append_sorted_into(&mut merged);
             }
             counters.merge_candidates += merged.len() as u64;
             merged.sort_unstable_by(|a, b| {
@@ -871,6 +801,23 @@ impl StoreInner {
             t0.elapsed().as_secs_f64(),
         ))
     }
+}
+
+/// Offer a log segment (one lane-padded bucket) to `heap` through the
+/// fused kernel, keeping the points `live` accepts, and account the scan.
+fn scan_segment<F: Fn(u64) -> bool + Copy>(
+    seg: &PackedLeaves,
+    q: &[f32],
+    heap: &mut KnnHeap,
+    live: F,
+    counters: &mut QueryCounters,
+) {
+    let cap = seg.padded_len();
+    let stats = seg.scan_and_offer_filtered(0, cap, q, heap, live);
+    counters.points_scanned += cap as u64;
+    counters.leaf_kernel_calls += 1;
+    counters.kernel_blocks_pruned += stats.pruned_blocks as u64;
+    counters.heap_ops += stats.accepted as u64;
 }
 
 #[cfg(test)]
@@ -949,22 +896,32 @@ mod tests {
 
     #[test]
     fn tombstones_across_compaction_do_not_resurrect() {
-        // remove a tree-resident point, then compact: it must stay gone
-        let cfg = StoreConfig::default().with_synchronous_compaction(true);
-        let store = line_store(10, cfg);
-        store.compact_now().unwrap(); // all 10 into the tree
-        assert_eq!(store.stats().tree_points, 10);
-        assert!(store.remove(5).unwrap());
-        assert_eq!(store.stats().deleted, 1);
-        let q = PointSet::from_coords(1, vec![5.1]).unwrap();
-        let res = store.query(&QueryRequest::knn(&q, 2)).unwrap();
-        assert_eq!(ids_of(&res, 0), vec![5 + 1, 4]);
+        // Tombstones laid on the frozen segment while its compaction is in
+        // flight are skipped in the kernel, become tree tombstones at the
+        // swap, and are resolved physically by the next compaction.
+        let store = line_store(40, StoreConfig::default());
+        let task = {
+            // freeze by hand and hold the compaction back
+            let mut st = store.inner.write_state();
+            store.inner.freeze(&mut st).unwrap()
+        };
+        for id in [10, 11, 12, 35] {
+            assert!(store.remove(id).unwrap());
+        }
+        let q = PointSet::from_coords(1, vec![11.2]).unwrap();
+        let nearest = || store.query(&QueryRequest::knn(&q, 2)).unwrap();
+        let res = nearest();
+        assert_eq!(ids_of(&res, 0), vec![13, 9]);
+        assert_eq!(res.counters.merge_candidates, 2, "k rows, no over-fetch");
+        assert_eq!(store.stats().frozen_points, 40);
+        store.inner.run_compaction(task).unwrap();
+        let stats = store.stats();
+        assert_eq!((stats.tree_points, stats.deleted), (40, 4));
+        assert_eq!(ids_of(&nearest(), 0), vec![13, 9]);
         store.compact_now().unwrap();
         let stats = store.stats();
-        assert_eq!(stats.deleted, 0, "tombstone physically resolved");
-        assert_eq!(stats.tree_points, 9);
-        let res = store.query(&QueryRequest::knn(&q, 2)).unwrap();
-        assert_eq!(ids_of(&res, 0), vec![6, 4]);
+        assert_eq!((stats.tree_points, stats.deleted), (36, 0), "resolved");
+        assert_eq!(ids_of(&nearest(), 0), vec![13, 9]);
     }
 
     #[test]
@@ -1004,6 +961,45 @@ mod tests {
             let g: Vec<f32> = got.neighbors.row(i).iter().map(|n| n.dist_sq).collect();
             let w: Vec<f32> = want.iter().map(|n| n.dist_sq).collect();
             assert_eq!(g, w, "query {i}: distances must be bit-identical");
+        }
+    }
+
+    /// Tree tombstones are rejected inside the leaf kernel: with no log,
+    /// each query hands over at most its k live rows (no over-fetch of
+    /// k + |tombstones| to filter afterwards) and they equal brute force
+    /// over the live set, distance bits and ids.
+    #[test]
+    fn tree_tombstones_are_skipped_without_over_fetch() {
+        let (dims, n, k) = (4, 4000, 16);
+        let mut rng = panda_core::rng::SplitRng::new(17);
+        let mut uniform = |n: usize| {
+            let coords = (0..n * dims).map(|_| rng.next_f64() as f32).collect();
+            PointSet::from_coords(dims, coords).unwrap()
+        };
+        let (points, queries) = (uniform(n), uniform(64));
+        let cfg = StoreConfig::default().with_max_deleted(usize::MAX);
+        let store = MutableIndex::from_points(&points, cfg).unwrap();
+        let bits = |ns: &[Neighbor]| -> Vec<(u32, u64)> {
+            ns.iter().map(|x| (x.dist_sq.to_bits(), x.id)).collect()
+        };
+        let mut dead = HashSet::new();
+        for tombstones in [1, 64, 1000] {
+            // 7919 is prime to n, so the stride names distinct ids
+            while dead.len() < tombstones {
+                let i = (dead.len() * 7919 % n) as u32;
+                assert!(store.remove(i as u64).unwrap());
+                dead.insert(i);
+            }
+            assert_eq!(store.stats().deleted, tombstones);
+            let live: Vec<u32> = (0..n as u32).filter(|i| !dead.contains(i)).collect();
+            let brute = BruteForce::new(&points.select(&live));
+            let res = store.query(&QueryRequest::knn(&queries, k)).unwrap();
+            for i in 0..queries.len() {
+                let want = brute.query(queries.point(i), k).unwrap();
+                assert_eq!(bits(res.neighbors.row(i)), bits(&want), "T={tombstones}");
+            }
+            let merged = res.counters.merge_candidates;
+            assert!(merged as usize <= 64 * k, "T={tombstones}: {merged}");
         }
     }
 

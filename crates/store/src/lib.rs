@@ -7,10 +7,10 @@
 //!
 //! * **Writes** append to an in-memory fresh log ([`MutableIndex::insert`])
 //!   or lay copy-on-write tombstones ([`MutableIndex::remove`]).
-//! * **Queries** run against the immutable tree generation, exactly
-//!   brute-force-scan the log through the same fused SIMD leaf kernel
-//!   the tree uses, and merge — results are bit-identical in distances
-//!   to a from-scratch brute-force scan of the live set, always.
+//! * **Queries** run against the immutable tree generation (tombstones
+//!   skipped in its leaf kernel), brute-force-scan the log through that
+//!   same fused SIMD kernel, and merge — results are bit-identical in
+//!   distances to a from-scratch brute-force scan of the live set, always.
 //! * **Compaction** runs in the background on the persistent rayon
 //!   pool: the log freezes, tree + log − tombstones rebuild into a new
 //!   generation, and an atomic swap publishes it (epoch + 1) without

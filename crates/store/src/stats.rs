@@ -66,8 +66,8 @@ pub struct StoreStats {
     /// Points in the frozen segment currently being compacted
     /// (0 when no compaction is in flight).
     pub frozen_points: usize,
-    /// Outstanding tombstones (tree + frozen targets). Each one inflates
-    /// query heaps by one slot until the next compaction clears it.
+    /// Outstanding tombstones (tree + frozen targets). Reads skip them in
+    /// the leaf kernel; each holds memory until a compaction clears it.
     pub deleted: usize,
     /// Total `insert` calls accepted.
     pub inserted: u64,

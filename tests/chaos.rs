@@ -289,7 +289,10 @@ fn scheduler_panic_restarts_and_the_service_keeps_serving() {
             other => panic!("{name}: expected BackendPanicked, got {other:?}"),
         }
     }
-    drop(guard); // disarm: the restarted scheduler must serve cleanly
+    // disarm (the restarted scheduler must serve cleanly), but keep the
+    // exclusion: a sibling's plan must not fire on this service
+    drop(guard);
+    let _guard = faultpoint::arm(FaultPlan::new());
 
     let after = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
     assert_eq!(after.wait().unwrap().row(0)[0].id, 4);
@@ -313,6 +316,7 @@ fn repeated_scheduler_panics_stay_supervised() {
         assert!(matches!(t.wait(), Err(PandaError::BackendPanicked(_))));
     }
     drop(guard);
+    let _guard = faultpoint::arm(FaultPlan::new()); // disarmed, still exclusive
     let t = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
     assert_eq!(t.wait().unwrap().row(0)[0].id, 3);
     assert_eq!(service.stats().scheduler_restarts, 3);
@@ -635,7 +639,10 @@ fn shard_panic_mid_batch_is_typed_and_the_worker_restarts() {
         sharded.shard_restarts() >= 1,
         "the panicked worker restarted"
     );
-    drop(guard); // disarm: the restarted worker must serve cleanly
+    // disarm (the restarted worker must serve cleanly), but keep the
+    // exclusion: a sibling's plan must not fire on these shards
+    drop(guard);
+    let _guard = faultpoint::arm(FaultPlan::new());
 
     let reply = service
         .submit(&QueryRequest::knn(&all, 4))
