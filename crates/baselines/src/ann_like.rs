@@ -7,7 +7,7 @@
 //! rescue and a depth cap.
 
 use panda_core::engine::{NnBackend, QueryRequest, QueryResponse};
-use panda_core::{Neighbor, PointSet, QueryCounters, Result, TreeConfig};
+use panda_core::{Neighbor, PointSet, QueryCounters, Result};
 
 use crate::simple_tree::{Heuristic, SimpleKdTree, SimpleTreeStats};
 
@@ -57,10 +57,6 @@ impl AnnLikeTree {
 }
 
 impl NnBackend for AnnLikeTree {
-    fn build(points: &PointSet, _cfg: &TreeConfig) -> Result<Self> {
-        AnnLikeTree::build(points)
-    }
-
     fn query(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
         // ANN's query loop is never parallelized (§V-B2); the request's
         // `parallel` knob is ignored, not an error.

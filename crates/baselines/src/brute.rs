@@ -5,7 +5,7 @@
 //! which is what lets the test suite compare results bit-for-bit.
 
 use panda_core::engine::{NeighborTable, NnBackend, QueryRequest, QueryResponse};
-use panda_core::{KnnHeap, Neighbor, PandaError, PointSet, QueryCounters, Result, TreeConfig};
+use panda_core::{KnnHeap, Neighbor, PandaError, PointSet, QueryCounters, Result};
 use rayon::prelude::*;
 
 /// Brute-force scanner over an owned copy of the point set.
@@ -63,11 +63,6 @@ impl BruteForce {
 }
 
 impl NnBackend for BruteForce {
-    fn build(points: &PointSet, _cfg: &TreeConfig) -> Result<Self> {
-        points.validate()?;
-        Ok(BruteForce::new(points))
-    }
-
     fn query(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
         let t0 = std::time::Instant::now();
         req.validate()?;
@@ -167,14 +162,12 @@ mod tests {
         let b = NnBackend::query(&bf, &QueryRequest::knn(&qs, 5).with_parallel(true)).unwrap();
         assert_eq!(a.neighbors, b.neighbors);
         assert_eq!(a.counters, b.counters);
-        assert!(a.remote.is_none());
     }
 
     #[test]
     fn backend_trait_surface() {
         let ps = grid_1d(64);
-        let backend: Box<dyn NnBackend> =
-            Box::new(BruteForce::build(&ps, &TreeConfig::default()).unwrap());
+        let backend: Box<dyn NnBackend> = Box::new(BruteForce::new(&ps));
         assert_eq!(backend.name(), "brute-force");
         assert_eq!(backend.len(), 64);
         assert_eq!(backend.dims(), 1);

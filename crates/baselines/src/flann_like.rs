@@ -3,7 +3,7 @@
 //! dimension to compute median during the kd-tree construction."
 
 use panda_core::engine::{NnBackend, QueryRequest, QueryResponse};
-use panda_core::{Neighbor, PointSet, QueryCounters, Result, TreeConfig};
+use panda_core::{Neighbor, PointSet, QueryCounters, Result};
 
 use crate::simple_tree::{Heuristic, SimpleKdTree, SimpleTreeStats};
 
@@ -54,10 +54,6 @@ impl FlannLikeTree {
 }
 
 impl NnBackend for FlannLikeTree {
-    fn build(points: &PointSet, _cfg: &TreeConfig) -> Result<Self> {
-        FlannLikeTree::build(points)
-    }
-
     fn query(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
         // the paper parallelized FLANN's outer query loop
         self.inner

@@ -16,9 +16,8 @@
 //!
 //! Every baseline implements [`panda_core::engine::NnBackend`], so the
 //! same `Box<dyn NnBackend>` loop that drives PANDA's engines drives the
-//! comparisons: build with [`NnBackend::build`](panda_core::engine::NnBackend::build)
-//! (or the distributed `build_on` constructors), query with a
-//! [`panda_core::engine::QueryRequest`].
+//! comparisons: build with each type's own constructor (the distributed
+//! one's is `build_on`), query with a [`panda_core::engine::QueryRequest`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

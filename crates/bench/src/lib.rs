@@ -1,7 +1,8 @@
-//! # panda-bench — paper tables/figures + criterion micro-benches
+//! # panda-bench — paper tables/figures
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus the
-//! Criterion micro-benchmarks in `benches/`. Wall-clock end-to-end and
+//! One binary per table/figure of the paper (see `src/bin/`), plus
+//! `calibrate`, which times the distance kernel, heap offers, histogram
+//! binning and partitioning on the host. Wall-clock end-to-end and
 //! per-layer measurement lives in the repository's one benchmark,
 //! `benchmark/` (`bash benchmark/run.sh`), not here. This library holds
 //! the shared machinery:

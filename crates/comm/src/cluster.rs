@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use crossbeam::channel::unbounded;
+use std::sync::mpsc::channel;
 
 use crate::clock::ClockSummary;
 use crate::comm::Comm;
@@ -97,7 +97,7 @@ where
     let mut senders = Vec::with_capacity(p);
     let mut receivers = Vec::with_capacity(p);
     for _ in 0..p {
-        let (tx, rx) = unbounded::<Envelope>();
+        let (tx, rx) = channel::<Envelope>();
         senders.push(tx);
         receivers.push(rx);
     }
@@ -177,7 +177,7 @@ pub fn make_endpoints(cfg: &ClusterConfig) -> Vec<Comm> {
     let mut senders = Vec::with_capacity(p);
     let mut receivers = Vec::with_capacity(p);
     for _ in 0..p {
-        let (tx, rx) = unbounded::<Envelope>();
+        let (tx, rx) = channel::<Envelope>();
         senders.push(tx);
         receivers.push(rx);
     }

@@ -387,7 +387,8 @@ pub fn build_distributed(
 
     // ---- local tree ----------------------------------------------------
     // Real execution is rank-sequential; intra-rank threading is charged
-    // through the modeled thread pool (see DESIGN.md §2).
+    // through the modeled thread pool (`LocalKdTree::modeled_build`, over
+    // `panda_comm::ThreadModel`).
     let local_cfg = crate::config::TreeConfig {
         parallel: false,
         ..cfg.local

@@ -1,46 +1,23 @@
 //! The backend trait: one algorithm-agnostic interface over every
 //! nearest-neighbor engine in the workspace.
 
-use crate::config::TreeConfig;
 use crate::engine::{QueryRequest, QueryResponse};
 use crate::error::Result;
 use crate::knn::KnnIndex;
-use crate::point::PointSet;
 
 /// An interchangeable nearest-neighbor engine.
 ///
 /// The trait is object-safe: benches, figures, and parity tests iterate
 /// `Box<dyn NnBackend>` (or `&dyn NnBackend`) instead of re-plumbing each
-/// engine's build/query shape by hand. `build` is excluded from the
-/// vtable (`where Self: Sized`); backends that need more context than
-/// `(points, config)` — e.g. [`crate::engine::ShardedIndex`], which
-/// needs a shard count — keep `build`'s rejecting default body and
-/// provide inherent constructors instead.
+/// engine's query shape by hand. Construction is not part of it: each
+/// backend is built through its own inherent constructor, because what
+/// a build needs differs (a `TreeConfig`, a shard count, nothing).
 ///
 /// Exactness contract: every implementation in this workspace answers
 /// [`QueryRequest`]s **exactly** (bit-identical to brute force; every
 /// engine traverses with [`crate::BoundMode::Exact`]);
 /// `tests/backend_parity.rs` holds all of them to it.
 pub trait NnBackend {
-    /// Build an index over `points`. Backends ignore `TreeConfig` fields
-    /// that do not apply to them (e.g. brute force ignores all of it).
-    ///
-    /// The default body rejects the call: backends that need more context
-    /// than `(points, config)` — e.g. [`crate::engine::ShardedIndex`],
-    /// which needs a shard count — keep the default and provide inherent
-    /// constructors instead.
-    fn build(points: &PointSet, cfg: &TreeConfig) -> Result<Self>
-    where
-        Self: Sized,
-    {
-        let _ = (points, cfg);
-        Err(crate::error::PandaError::BadConfig(
-            "this backend cannot be built from (points, config) alone; \
-             use its inherent constructor"
-                .into(),
-        ))
-    }
-
     /// Answer a batch of queries. Results come back in input order as a
     /// flat CSR [`crate::engine::NeighborTable`].
     fn query(&self, req: &QueryRequest<'_>) -> Result<QueryResponse>;
@@ -70,10 +47,6 @@ pub trait NnBackend {
 }
 
 impl NnBackend for KnnIndex {
-    fn build(points: &PointSet, cfg: &TreeConfig) -> Result<Self> {
-        KnnIndex::build(points, cfg)
-    }
-
     fn query(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
         self.query_session(req)
     }
@@ -94,6 +67,8 @@ impl NnBackend for KnnIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TreeConfig;
+    use crate::point::PointSet;
     use crate::rng::SplitRng;
 
     fn random_ps(n: usize, dims: usize, seed: u64) -> PointSet {
@@ -120,7 +95,6 @@ mod tests {
         let res = backend.query(&QueryRequest::knn(&queries, 4)).unwrap();
         assert_eq!(res.len(), 50);
         assert_eq!(res.counters.queries, 50);
-        assert!(res.remote.is_none());
         for row in res.neighbors.iter() {
             assert_eq!(row.len(), 4);
             assert!(row.windows(2).all(|w| w[0].dist_sq <= w[1].dist_sq));

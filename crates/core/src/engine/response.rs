@@ -4,8 +4,6 @@
 use crate::counters::QueryCounters;
 use crate::error::{PandaError, Result};
 use crate::heap::Neighbor;
-use crate::query_distributed::RemoteStats;
-use crate::timers::QueryBreakdown;
 
 /// Per-query neighbor lists stored CSR-style: one `offsets` array and one
 /// contiguous [`Neighbor`] arena, instead of a `Vec<Vec<Neighbor>>` with
@@ -206,9 +204,10 @@ impl<'a> IntoIterator for &'a NeighborTable {
 }
 
 /// What every backend returns from [`crate::engine::NnBackend::query`]:
-/// the CSR neighbor table plus the unified observability block (work
-/// counters, wall timing, and — for distributed engines — remote-traffic
-/// statistics and the per-phase breakdown).
+/// the CSR neighbor table plus the work counters and wall timing. The
+/// distributed pipeline's remote-traffic statistics and per-phase
+/// breakdown are read from the SPMD driver's
+/// [`crate::query_distributed::DistQueryOutput`], which the figures use.
 #[derive(Clone, Debug)]
 pub struct QueryResponse {
     /// Per-query neighbors in input order.
@@ -217,21 +216,15 @@ pub struct QueryResponse {
     pub counters: QueryCounters,
     /// Real wall-clock seconds spent answering the request.
     pub wall_seconds: f64,
-    /// Remote-traffic statistics (distributed backends only).
-    pub remote: Option<RemoteStats>,
-    /// Per-phase virtual-time breakdown (distributed backends only).
-    pub breakdown: Option<QueryBreakdown>,
 }
 
 impl QueryResponse {
-    /// A local (single-node) response: no remote stats, no breakdown.
+    /// A response from its three parts.
     pub fn local(neighbors: NeighborTable, counters: QueryCounters, wall_seconds: f64) -> Self {
         Self {
             neighbors,
             counters,
             wall_seconds,
-            remote: None,
-            breakdown: None,
         }
     }
 
@@ -345,8 +338,7 @@ mod tests {
     fn response_local_has_no_remote() {
         let r = QueryResponse::local(NeighborTable::new(), QueryCounters::default(), 0.1);
         assert!(r.is_empty());
-        assert!(r.remote.is_none());
-        assert!(r.breakdown.is_none());
+        assert_eq!(r.counters, QueryCounters::default());
         assert_eq!(r.wall_seconds, 0.1);
     }
 }

@@ -60,9 +60,8 @@ use crate::error::{PandaError, Result};
 use crate::faultpoint::{self, points};
 use crate::global_tree::GlobalKdTree;
 use crate::point::PointSet;
-use crate::query_distributed::{owned_pipeline, Owned, OwnedOutput, RemoteStats};
+use crate::query_distributed::{owned_pipeline, Owned, OwnedOutput};
 use crate::supervise::{panic_message, restart_backoff};
-use crate::timers::QueryBreakdown;
 
 /// One unit of work shipped to a shard worker. Every round sends one job
 /// to **every** shard — the KNN pipeline is collective, so a shard with
@@ -383,9 +382,6 @@ impl std::fmt::Debug for ShardedIndex {
 }
 
 impl NnBackend for ShardedIndex {
-    // `build` keeps the rejecting default: the shard count is a required
-    // argument — use `ShardedIndex::build`.
-
     fn query(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
         let t0 = Instant::now();
         req.validate()?;
@@ -405,13 +401,11 @@ impl NnBackend for ShardedIndex {
         let n = queries.len();
         let mut counters = QueryCounters::default();
         if n == 0 {
-            return Ok(QueryResponse {
-                neighbors: NeighborTable::new(),
+            return Ok(QueryResponse::local(
+                NeighborTable::new(),
                 counters,
-                wall_seconds: t0.elapsed().as_secs_f64(),
-                remote: Some(RemoteStats::default()),
-                breakdown: Some(QueryBreakdown::default()),
-            });
+                t0.elapsed().as_secs_f64(),
+            ));
         }
         self.rounds.inc();
         self.queries_total.add(n as u64);
@@ -430,8 +424,6 @@ impl NnBackend for ShardedIndex {
 
         // Gather: scatter each shard's CSR slice back to submission order.
         let mut row_counts = vec![0u32; n];
-        let mut breakdown = QueryBreakdown::default();
-        let mut remote = RemoteStats::default();
         for out in &outs {
             debug_assert_eq!(out.qids.len(), out.counts.len());
             for (&qid, &cnt) in out.qids.iter().zip(&out.counts) {
@@ -449,21 +441,13 @@ impl NnBackend for ShardedIndex {
                 cur += cnt;
             }
             debug_assert_eq!(cur, out.arena.len());
-            breakdown.add(&out.breakdown);
             counters.add(&out.counters);
-            remote.add(&out.remote);
         }
-        Ok(QueryResponse {
-            neighbors: table,
+        Ok(QueryResponse::local(
+            table,
             counters,
-            // Wall time is the front end's real elapsed time; the
-            // breakdown aggregates the shards' *virtual* pipeline time
-            // (find_owner stays 0 — routing happens here, not in a
-            // worker).
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            remote: Some(remote),
-            breakdown: Some(breakdown),
-        })
+            t0.elapsed().as_secs_f64(),
+        ))
     }
 
     fn name(&self) -> &'static str {
@@ -651,10 +635,7 @@ mod tests {
         assert_eq!(idx.shards(), 4);
         let backend: &dyn NnBackend = &idx;
         let res = backend.query(&QueryRequest::knn(&queries, 5)).unwrap();
-        assert!(res.remote.is_some(), "sharded responses carry stats");
-        assert!(res.breakdown.is_some());
         assert_eq!(res.neighbors, expect, "bit-identical to single-shard");
-        assert_eq!(res.remote.unwrap().owned_queries, 48);
         assert_eq!(idx.shard_restarts(), 0);
     }
 
@@ -697,13 +678,6 @@ mod tests {
             let res = idx.query(&QueryRequest::knn(&queries, 3)).unwrap();
             assert_eq!(res.neighbors.len(), 15);
         }
-    }
-
-    #[test]
-    fn trait_build_is_rejected_without_a_shard_count() {
-        let ps = random_ps(10, 2, 42);
-        let err = <ShardedIndex as NnBackend>::build(&ps, &TreeConfig::default());
-        assert!(err.is_err());
     }
 
     #[test]

@@ -7,13 +7,12 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-use arc_swap::ArcSwap;
 use panda_core::engine::{NeighborTable, NnBackend, QueryRequest, QueryResponse};
 use panda_core::faultpoint::{self, points};
 use panda_core::knn::KnnIndex;
 use panda_core::local_tree::PackedLeaves;
 use panda_core::supervise::panic_message;
-use panda_core::{KnnHeap, Neighbor, PandaError, PointSet, QueryCounters, Result, TreeConfig};
+use panda_core::{KnnHeap, Neighbor, PandaError, PointSet, QueryCounters, Result};
 use panda_obs::trace::{self, Stage};
 use panda_obs::{Registry, Snapshot};
 
@@ -74,6 +73,10 @@ fn pack_log(points: &PointSet) -> PackedLeaves {
 /// lock, so queries hold the lock only briefly and compute lock-free.
 #[derive(Debug)]
 struct WriteState {
+    /// The serving tree generation. It lives beside the log and the
+    /// tombstone sets so that one read lock snapshots all of them: a
+    /// query never pairs a new tree with an old log, or the reverse.
+    tree: Arc<TreeGen>,
     /// Fresh points since the last freeze. Physically clean: a removed
     /// fresh point is swap-removed, never tombstoned.
     fresh: PointSet,
@@ -122,10 +125,6 @@ struct CompactTask {
 struct StoreInner {
     dims: usize,
     cfg: StoreConfig,
-    /// The serving tree. Swapped atomically **while holding the state
-    /// write lock**, so a query snapshot (taken under the read lock)
-    /// never pairs a new tree with an old log or vice versa.
-    tree: ArcSwap<TreeGen>,
     state: RwLock<WriteState>,
     /// The durability layer, present only for stores opened with
     /// [`MutableIndex::open`]. Lock order: `state` (write) → `wal`,
@@ -265,12 +264,12 @@ impl MutableIndex {
         let inner = StoreInner {
             dims,
             cfg,
-            tree: ArcSwap::from_pointee(TreeGen {
-                index,
-                base: Arc::new(points.clone()),
-                epoch: 0,
-            }),
             state: RwLock::new(WriteState {
+                tree: Arc::new(TreeGen {
+                    index,
+                    base: Arc::new(points.clone()),
+                    epoch: 0,
+                }),
                 fresh: PointSet::new(dims)?,
                 frozen: None,
                 deleted_tree: Arc::new(HashSet::new()),
@@ -430,14 +429,13 @@ impl MutableIndex {
     /// Snapshot of the store's counters and gauges.
     pub fn stats(&self) -> StoreStats {
         let st = self.inner.read_state();
-        let gen = self.inner.tree.load_full();
         let hist = self.inner.metrics.hist_snapshot();
         let (p50, p99) = StoreStats::quantiles(&hist);
         // Lock order state → wal, same as the write path.
         let wal = self.inner.wal.as_ref().map(|w| self.inner.lock_wal(w));
         StoreStats {
             live_points: st.members.len(),
-            tree_points: gen.base.len(),
+            tree_points: st.tree.base.len(),
             log_points: st.fresh.len(),
             frozen_points: st.frozen.as_ref().map_or(0, |f| f.points.len()),
             deleted: st.deleted_tree.len() + st.deleted_frozen.len(),
@@ -446,7 +444,7 @@ impl MutableIndex {
             compactions: self.inner.metrics.compactions.get(),
             compaction_failures: self.inner.metrics.compaction_failures.get(),
             compacting: st.compacting,
-            epoch: gen.epoch,
+            epoch: st.tree.epoch,
             compaction_p50_seconds: p50,
             compaction_p99_seconds: p99,
             durable: wal.is_some(),
@@ -462,7 +460,7 @@ impl MutableIndex {
 
     /// Generation number of the serving tree (bumped by each swap).
     pub fn epoch(&self) -> u64 {
-        self.inner.tree.load_full().epoch
+        self.inner.read_state().tree.epoch
     }
 
     /// Point-in-time [`Snapshot`] of the store's metric registry
@@ -479,10 +477,6 @@ impl MutableIndex {
 }
 
 impl NnBackend for MutableIndex {
-    fn build(points: &PointSet, cfg: &TreeConfig) -> Result<Self> {
-        Self::from_points(points, StoreConfig::default().with_tree(*cfg))
-    }
-
     fn query(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
         self.inner.query(req)
     }
@@ -571,7 +565,7 @@ impl StoreInner {
         Ok(CompactTask {
             frozen,
             deleted_tree_at_freeze: Arc::clone(&st.deleted_tree),
-            old_gen: self.tree.load_full(),
+            old_gen: Arc::clone(&st.tree),
             closed_seq,
         })
     }
@@ -665,7 +659,7 @@ impl StoreInner {
                     // sets all change under one write lock — a query
                     // snapshot sees either the complete old world or
                     // the complete new one, never a mix.
-                    self.tree.store(Arc::new(gen));
+                    st.tree = Arc::new(gen);
                     st.frozen = None;
                     // Tombstones laid after the freeze survive and now
                     // target the new generation (which carried those
@@ -735,7 +729,7 @@ impl StoreInner {
         let (gen, frozen, deleted_tree, deleted_frozen, fresh) = {
             let st = self.read_state();
             (
-                self.tree.load_full(),
+                Arc::clone(&st.tree),
                 st.frozen.clone().filter(|f| !f.points.is_empty()),
                 Arc::clone(&st.deleted_tree),
                 Arc::clone(&st.deleted_frozen),
@@ -1179,7 +1173,7 @@ mod tests {
     #[test]
     fn through_nn_backend_build() {
         let ps = PointSet::from_coords(2, vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0]).unwrap();
-        let backend = <MutableIndex as NnBackend>::build(&ps, &TreeConfig::default()).unwrap();
+        let backend = MutableIndex::from_points(&ps, StoreConfig::default()).unwrap();
         assert_eq!(backend.name(), "panda-store");
         assert_eq!(backend.len(), 3);
         let q = PointSet::from_coords(2, vec![1.1, 1.1]).unwrap();

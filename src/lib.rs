@@ -16,8 +16,8 @@
 //! * [`obs`] — unified telemetry: the metrics registry, per-query
 //!   pipeline tracing, and the Prometheus/JSON exposition surface.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the system
-//! inventory and experiment index.
+//! The quickstart is below; `ROADMAP.md` lists what is built and what
+//! is open, and `benchmark/README.md` describes the benchmark.
 //!
 //! ## Quickstart: the query-session API
 //!
@@ -365,6 +365,8 @@
 //! | `ShardedIndex::query_radius_all(&q, r)` | nothing — no caller; `with_radius` for radius-limited search |
 //! | `faultpoint::points::SHARD_WORKER_RADIUS` | nothing — the radius shard job is gone |
 //! | `StoreConfig::default().with_compact_bytes(b)` | nothing — a fixed 1 MiB log-size trigger (`with_compact_points` still sets the point trigger) |
+//! | `<B as NnBackend>::build(&pts, &cfg)` | the backend's own constructor: `KnnIndex::build(&pts, &cfg)`, `BruteForce::new(&pts)`, `FlannLikeTree::build(&pts)`, `MutableIndex::from_points(&pts, store_cfg)`, `ShardedIndex::build(&pts, shards, &dist_cfg)` |
+//! | `QueryResponse::remote` / `breakdown` | the SPMD `query_distributed` → `DistQueryOutput::{remote, breakdown}` |
 
 #![warn(missing_docs)]
 

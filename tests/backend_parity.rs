@@ -60,7 +60,7 @@ fn single_node_backends(points: &PointSet) -> Vec<Box<dyn NnBackend>> {
     vec![
         Box::new(KnnIndex::build(points, &cfg).unwrap()),
         Box::new(KnnIndex::build(points, &parallel).unwrap()),
-        Box::new(BruteForce::build(points, &cfg).unwrap()),
+        Box::new(BruteForce::new(points)),
         Box::new(FlannLikeTree::build(points).unwrap()),
         Box::new(AnnLikeTree::build(points).unwrap()),
         Box::new(ShardedIndex::build(points, 2, &DistConfig::default()).unwrap()),
