@@ -95,11 +95,12 @@ impl NeighborTable {
     }
 
     /// Allocate a table with the given per-row neighbor counts, every row
-    /// zero-filled, for in-place assembly through [`Self::row_mut`]. This
-    /// is the arena-building primitive behind the batch and distributed
-    /// engines: compute row sizes first, then let each producer write its
-    /// rows directly into the final storage — no intermediate
-    /// `Vec<Vec<Neighbor>>`.
+    /// zero-filled, for in-place assembly through [`Self::row_mut`]. The
+    /// sharded and distributed engines gather this way: they learn each
+    /// row's size from the gathered results first, then write the rows
+    /// directly into the final storage — no intermediate
+    /// `Vec<Vec<Neighbor>>`. (The single-node batch engine knows its row
+    /// width up front and builds its table with [`Self::from_parts`].)
     ///
     /// Errors with [`PandaError::BadConfig`] when the total neighbor
     /// count exceeds the `u32` arena limit.

@@ -140,29 +140,31 @@ impl KnnHeap {
     /// Drain into `out`, appended in ascending distance (ties by id),
     /// leaving the heap empty but with its buffer intact. The sorted
     /// order is identical to [`Self::into_sorted`]; this variant exists
-    /// so chunk-local result arenas can be filled without a per-query
+    /// so a growing result buffer (the distributed engine's per-round
+    /// arenas, the store's merge) can be filled without a per-query
     /// `Vec` allocation.
     pub fn append_sorted_into(&mut self, out: &mut Vec<Neighbor>) {
-        // unstable sort is fine: (dist_sq, id) is a total order over the
-        // held items (ids are unique), so the result is deterministic.
-        self.items.sort_unstable_by(|a, b| {
-            a.dist_sq
-                .partial_cmp(&b.dist_sq)
-                .expect("finite distances")
-                .then(a.id.cmp(&b.id))
-        });
+        sort_by_dist_then_id(&mut self.items);
         out.append(&mut self.items);
+    }
+
+    /// Drain into the front of `out` in ascending distance (ties by id)
+    /// and return how many neighbors were written, leaving the heap empty
+    /// but with its buffer intact. The batch engine's fixed-width rows
+    /// are written this way, straight into the table's storage. Panics
+    /// when `out` is shorter than [`Self::len`].
+    pub fn write_sorted_into(&mut self, out: &mut [Neighbor]) -> usize {
+        sort_by_dist_then_id(&mut self.items);
+        let n = self.items.len();
+        out[..n].copy_from_slice(&self.items);
+        self.items.clear();
+        n
     }
 
     /// Drain into a vector sorted by ascending distance (ties by id for
     /// determinism).
     pub fn into_sorted(mut self) -> Vec<Neighbor> {
-        self.items.sort_by(|a, b| {
-            a.dist_sq
-                .partial_cmp(&b.dist_sq)
-                .expect("finite distances")
-                .then(a.id.cmp(&b.id))
-        });
+        sort_by_dist_then_id(&mut self.items);
         self.items
     }
 
@@ -204,6 +206,18 @@ impl KnnHeap {
             i = largest;
         }
     }
+}
+
+/// Ascending distance, ties by id. An unstable sort is fine: `(dist_sq,
+/// id)` is a total order over a heap's items (ids are unique), so the
+/// result is deterministic.
+fn sort_by_dist_then_id(items: &mut [Neighbor]) {
+    items.sort_unstable_by(|a, b| {
+        a.dist_sq
+            .partial_cmp(&b.dist_sq)
+            .expect("finite distances")
+            .then(a.id.cmp(&b.id))
+    });
 }
 
 #[cfg(test)]
@@ -281,6 +295,24 @@ mod tests {
         let out = h.into_sorted();
         let pairs: Vec<(f32, u64)> = out.iter().map(|n| (n.dist_sq, n.id)).collect();
         assert_eq!(pairs, vec![(0.5, 1), (1.0, 9), (2.0, 3), (2.0, 7)]);
+    }
+
+    #[test]
+    fn write_sorted_into_fills_the_front_and_empties_the_heap() {
+        let mut h = KnnHeap::new(4);
+        for (d, id) in [(2.0, 7), (1.0, 9), (2.0, 3)] {
+            h.offer(d, id);
+        }
+        let expect = h.clone().into_sorted();
+        let blank = Neighbor {
+            dist_sq: -1.0,
+            id: 0,
+        };
+        let mut row = [blank; 4];
+        assert_eq!(h.write_sorted_into(&mut row), 3);
+        assert_eq!(&row[..3], expect.as_slice());
+        assert_eq!(row[3], blank); // past the count: untouched
+        assert!(h.is_empty());
     }
 
     #[test]

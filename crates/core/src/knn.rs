@@ -6,10 +6,12 @@
 //! engine runs every batch in a spatially coherent order: it keeps a
 //! batch whose input order is already coherent and sorts any other along
 //! a Morton curve (the rule in [`crate::morton`]), so consecutive queries
-//! share tree paths and cached leaf buckets. It dispatches in contiguous
-//! chunks (`with_min_len`) so per-task overhead amortizes and each worker
-//! reuses one [`QueryWorkspace`], and scatters results back to input
-//! order. Every query runs through the fused SIMD leaf kernel inherited
+//! share tree paths and cached leaf buckets. It dispatches one contiguous
+//! block of the schedule per worker so per-task overhead amortizes and
+//! each worker reuses one [`QueryWorkspace`]. Results are written once,
+//! into fixed-width rows of the storage the returned table owns; a
+//! reordered batch's rows are then permuted back to input order in
+//! place. Every query runs through the fused SIMD leaf kernel inherited
 //! from the traversal layer.
 
 use rayon::prelude::*;
@@ -25,15 +27,55 @@ use crate::local_tree::{LocalKdTree, QueryWorkspace};
 use crate::morton::locality_schedule;
 use crate::point::PointSet;
 
-/// Minimum queries per dispatched chunk: below this, task bookkeeping
+/// Minimum queries per dispatched block: below this, task bookkeeping
 /// would rival the traversal work itself.
 const MIN_CHUNK: usize = 16;
 
-/// One worker chunk's output: `(input slot, neighbor count)` runs, the
-/// chunk-local neighbor arena those runs index into (in run order), and
-/// the chunk's aggregate counters. Chunks are spliced into the final CSR
-/// table — no per-query `Vec` is ever allocated.
-type ChunkResult = (Vec<(u32, u32)>, Vec<Neighbor>, QueryCounters);
+/// Length of the `n × cap` row arena of a batch, or the "split the
+/// batch" error when its CSR offsets would overflow `u32`. Checked
+/// before anything is allocated or any query runs.
+fn row_arena_len(n: usize, cap: usize) -> Result<usize> {
+    n.checked_mul(cap)
+        .filter(|&len| len <= u32::MAX as usize)
+        .ok_or_else(|| {
+            PandaError::BadConfig(
+                "neighbor arena exceeds the 2^32 CSR limit; split the batch".into(),
+            )
+        })
+}
+
+/// Move the fixed-width rows (`cap` neighbors each, with their `counts`)
+/// from schedule position `j` to input slot `schedule[j]`, in place: each
+/// permutation cycle is followed once, carrying one row of scratch.
+fn permute_rows_to_input_order(
+    arena: &mut [Neighbor],
+    counts: &mut [u32],
+    cap: usize,
+    schedule: &[u32],
+) {
+    let mut done = vec![false; counts.len()];
+    let mut scratch = Vec::with_capacity(cap);
+    for start in 0..counts.len() {
+        if done[start] {
+            continue;
+        }
+        // `scratch` holds the row of position `j`, which belongs at
+        // `schedule[j]`: swap it into place and carry the evicted row on.
+        scratch.clear();
+        scratch.extend_from_slice(&arena[start * cap..][..cap]);
+        let mut len = counts[start];
+        let mut dest = schedule[start] as usize;
+        while dest != start {
+            arena[dest * cap..][..cap].swap_with_slice(&mut scratch);
+            std::mem::swap(&mut counts[dest], &mut len);
+            done[dest] = true;
+            dest = schedule[dest] as usize;
+        }
+        arena[start * cap..][..cap].copy_from_slice(&scratch);
+        counts[start] = len;
+        done[start] = true;
+    }
+}
 
 /// A single-node KNN index.
 #[derive(Clone, Debug)]
@@ -86,9 +128,10 @@ impl KnnIndex {
     /// entry point): exact kNN or radius-limited kNN, with per-request
     /// overrides of execution order and parallelism.
     /// Results come back **in input order** as a flat CSR
-    /// [`NeighborTable`]; workers fill chunk-local arenas that are
-    /// spliced into the table, so the batch hot path performs no
-    /// per-query heap allocation.
+    /// [`NeighborTable`]; workers write each query's neighbors straight
+    /// into its row of the table's storage, so the batch hot path
+    /// performs no per-query heap allocation and no result is copied
+    /// between buffers (short rows excepted, which are compacted once).
     pub fn query_session(&self, req: &QueryRequest<'_>) -> Result<QueryResponse> {
         self.query_session_filtered(req, |_| true)
     }
@@ -126,6 +169,11 @@ impl KnnIndex {
     /// The execution order affects locality only: results and aggregate
     /// counters are identical for any order (each query's traversal is
     /// independent).
+    ///
+    /// Every row gets `min(k, indexed points)` slots of one arena up
+    /// front. Rows that come back shorter (radius limit, `live` filter)
+    /// are closed up by one forward pass; a batch of full rows, the
+    /// common fixed-k case, is handed over without a copy.
     pub(crate) fn batch_csr<F: Fn(u64) -> bool + Copy + Sync>(
         &self,
         queries: &PointSet,
@@ -146,89 +194,88 @@ impl KnnIndex {
         }
         crate::faultpoint::maybe_fail(crate::faultpoint::points::ENGINE_LEAF_DISPATCH)?;
         let n = queries.len();
+        // No row holds more than `cap` neighbors (at least 1, so an empty
+        // tree still splits into blocks).
+        let cap = k.min(self.tree.len()).max(1);
+        let blank = Neighbor {
+            dist_sq: 0.0,
+            id: 0,
+        };
+        let mut arena = vec![blank; row_arena_len(n, cap)?];
+        // Row counts first, at `offsets[j + 1]`; the compaction below
+        // turns them into the offsets in place.
+        let mut offsets = vec![0u32; n + 1];
         // `None` runs the batch as given.
         let schedule = match order {
             QueryOrder::Input => None,
             QueryOrder::Morton => locality_schedule(queries.dims(), queries.coords()),
         };
-        let slot = |j: u32| schedule.as_ref().map_or(j, |s| s[j as usize]);
-        // Each worker owns ONE reusable heap + workspace + arena for its
-        // whole chunk: a query appends its sorted neighbors to the arena
-        // and records `(input slot, count)`.
-        let run_one = |qi: u32,
-                       heap: &mut KnnHeap,
-                       ws: &mut QueryWorkspace,
-                       arena: &mut Vec<Neighbor>,
-                       runs: &mut Vec<(u32, u32)>,
-                       c: &mut QueryCounters| {
-            heap.reset(k, radius_sq);
-            self.tree.query_into_filtered(
-                queries.point(qi as usize),
-                heap,
-                BoundMode::Exact,
-                ws,
-                c,
-                live,
-            );
-            let start = arena.len();
-            heap.append_sorted_into(arena);
-            runs.push((qi, (arena.len() - start) as u32));
-        };
-        let chunks: Vec<ChunkResult> = if parallel {
-            // Contiguous chunks of the (possibly reordered) schedule.
-            (0..n as u32)
-                .into_par_iter()
-                .with_min_len(MIN_CHUNK)
-                .fold(
-                    || {
-                        (
-                            Vec::new(),
-                            Vec::new(),
-                            KnnHeap::new(k),
-                            QueryWorkspace::new(),
-                            QueryCounters::default(),
-                        )
-                    },
-                    |(mut runs, mut arena, mut heap, mut ws, mut c), j| {
-                        run_one(slot(j), &mut heap, &mut ws, &mut arena, &mut runs, &mut c);
-                        (runs, arena, heap, ws, c)
-                    },
-                )
-                .map(|(runs, arena, _heap, _ws, c)| (runs, arena, c))
-                .collect()
+        // Schedule position `j` owns `arena[j * cap..][..cap]` and
+        // `offsets[j + 1]`. Each worker takes one contiguous block of
+        // positions with ONE reusable heap + workspace, so the blocks
+        // are disjoint slices and no per-query `Vec` is allocated.
+        let threads = if parallel {
+            rayon::current_num_threads()
         } else {
-            let mut runs = Vec::with_capacity(n);
-            let mut arena = Vec::new();
+            1
+        };
+        let block = n.div_ceil(threads).max(MIN_CHUNK);
+        let run_block = |(b, (rows, lens)): (usize, (&mut [Neighbor], &mut [u32]))| {
             let mut heap = KnnHeap::new(k);
             let mut ws = QueryWorkspace::new();
             let mut c = QueryCounters::default();
-            for j in 0..n as u32 {
-                run_one(slot(j), &mut heap, &mut ws, &mut arena, &mut runs, &mut c);
+            for (i, (row, len)) in rows.chunks_mut(cap).zip(lens).enumerate() {
+                let j = b * block + i;
+                let qi = schedule.as_ref().map_or(j, |s| s[j] as usize);
+                heap.reset(k, radius_sq);
+                self.tree.query_into_filtered(
+                    queries.point(qi),
+                    &mut heap,
+                    BoundMode::Exact,
+                    &mut ws,
+                    &mut c,
+                    live,
+                );
+                *len = heap.write_sorted_into(row) as u32;
             }
-            vec![(runs, arena, c)]
+            c
         };
-        // Splice: counts → CSR table (input order), then copy each
-        // chunk's runs into their final rows in place.
-        let mut counts = vec![0u32; n];
-        for (runs, _, _) in &chunks {
-            for &(slot, count) in runs {
-                counts[slot as usize] = count;
-            }
-        }
-        let mut table = NeighborTable::with_row_counts(&counts)?;
+        let blocks = arena
+            .chunks_mut(block * cap)
+            .zip(offsets[1..].chunks_mut(block))
+            .enumerate();
+        let per_block: Vec<QueryCounters> = if parallel {
+            blocks
+                .collect::<Vec<_>>()
+                .into_par_iter()
+                .map(run_block)
+                .collect()
+        } else {
+            blocks.map(run_block).collect()
+        };
         let mut counters = QueryCounters::default();
-        for (runs, chunk_arena, c) in chunks {
-            counters.add(&c);
-            let mut cursor = 0usize;
-            for (slot, count) in runs {
-                let count = count as usize;
-                table
-                    .row_mut(slot as usize)
-                    .copy_from_slice(&chunk_arena[cursor..cursor + count]);
-                cursor += count;
-            }
+        for c in &per_block {
+            counters.add(c);
         }
-        Ok((table, counters))
+        if let Some(s) = &schedule {
+            permute_rows_to_input_order(&mut arena, &mut offsets[1..], cap, s);
+        }
+        // Close the gaps short rows leave and turn the counts into
+        // offsets; while every row so far is full, nothing moves.
+        let mut end = 0usize;
+        for (i, count) in offsets[1..].iter_mut().enumerate() {
+            let len = *count as usize;
+            if end != i * cap {
+                arena.copy_within(i * cap..i * cap + len, end);
+            }
+            end += len;
+            *count = end as u32;
+        }
+        if end < arena.len() {
+            arena.truncate(end);
+            arena.shrink_to_fit();
+        }
+        Ok((NeighborTable::from_parts(offsets, arena)?, counters))
     }
 
     /// The k-nearest-neighbor **graph** of the indexed points themselves
@@ -598,6 +645,116 @@ mod tests {
                 .unwrap();
             assert!(res.is_empty());
             assert_eq!(res.counters.queries, 0);
+        }
+    }
+
+    #[test]
+    fn row_arena_len_rejects_past_the_u32_limit() {
+        let max = u32::MAX as usize;
+        assert_eq!(row_arena_len(0, 5).unwrap(), 0);
+        assert_eq!(row_arena_len(max, 1).unwrap(), max);
+        assert_eq!(row_arena_len(max / 5, 5).unwrap(), max); // 2^32 - 1 = 5 · 858993459
+        assert_eq!(row_arena_len(65_536, 65_535).unwrap(), 65_536 * 65_535);
+        for (n, cap) in [
+            (max + 1, 1),
+            (65_536, 65_536),
+            (max / 5 + 1, 5),
+            (usize::MAX, 2),
+        ] {
+            let err = row_arena_len(n, cap).unwrap_err();
+            assert!(err.to_string().contains("split the batch"), "{n} × {cap}");
+        }
+    }
+
+    #[test]
+    fn over_limit_batch_is_rejected_before_it_runs() {
+        // 70,000 queries × 70,000 slots: were any query run first, this
+        // would search for 4.9e9 neighbors
+        let ps = PointSet::from_coords(1, (0..70_000).map(|i| i as f32).collect()).unwrap();
+        let idx = KnnIndex::build(&ps, &TreeConfig::default()).unwrap();
+        assert!(matches!(
+            idx.query_session(&QueryRequest::knn(&ps, 70_000)),
+            Err(PandaError::BadConfig(_))
+        ));
+    }
+
+    /// Brute force over the indexed points `live` accepts: the `k`
+    /// nearest as `(id, distance bits)`.
+    fn brute(ps: &PointSet, q: &[f32], k: usize, live: impl Fn(u64) -> bool) -> Vec<(u64, u32)> {
+        let mut all: Vec<(f32, u64)> = (0..ps.len())
+            .filter(|&j| live(ps.id(j)))
+            .map(|j| (ps.dist_sq_to(q, j), ps.id(j)))
+            .collect();
+        all.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        all.truncate(k);
+        all.into_iter().map(|(d, id)| (id, d.to_bits())).collect()
+    }
+
+    #[test]
+    fn in_place_rows_hold_short_rows_and_uneven_blocks() {
+        // 1,001 queries split unevenly across any pool size; 10 is below
+        // MIN_CHUNK. Shuffled batches take the permutation path,
+        // presorted ones run as given.
+        let shuffled = random_ps(1001, 3, 60);
+        let presorted = shuffled.select(&crate::morton::morton_schedule(&shuffled));
+        assert!(locality_schedule(3, shuffled.coords()).is_some());
+        assert!(locality_schedule(3, presorted.coords()).is_none());
+        let dense = random_ps(3000, 3, 61);
+        let sparse = random_ps(300, 3, 63);
+        let tiny = random_ps(50, 3, 62);
+        let one_in_ten = |id: u64| id.is_multiple_of(10);
+        for parallel in [false, true] {
+            let cfg = TreeConfig::default()
+                .with_parallel(parallel)
+                .with_threads(2);
+            let dense_idx = KnnIndex::build(&dense, &cfg).unwrap();
+            let sparse_idx = KnnIndex::build(&sparse, &cfg).unwrap();
+            let tiny_idx = KnnIndex::build(&tiny, &cfg).unwrap();
+            for (shape, batch) in [("shuffled", &shuffled), ("presorted", &presorted)] {
+                for n in [10u32, 1001] {
+                    let queries = batch.select(&(0..n).collect::<Vec<u32>>());
+                    let at = format!("{shape} n={n} parallel={parallel}");
+                    let each_order = |run: &dyn Fn(QueryOrder) -> QueryResponse| {
+                        let a = run(QueryOrder::Input);
+                        let b = run(QueryOrder::Morton);
+                        assert_eq!(rows(&a), rows(&b), "{at}");
+                        assert_eq!(a.counters, b.counters, "{at}");
+                        assert_eq!(a.len(), n as usize, "{at}");
+                        a
+                    };
+
+                    // radius-limited rows, some of them empty
+                    let req = QueryRequest::knn(&queries, 8).with_radius(3.0);
+                    let res = each_order(&|o| dense_idx.query_session(&req.with_order(o)).unwrap());
+                    assert!(res.neighbors.iter().any(<[Neighbor]>::is_empty), "{at}");
+                    for (i, row) in res.neighbors.iter().enumerate() {
+                        let single = dense_idx.query_radius(queries.point(i), 8, 3.0).unwrap();
+                        assert_eq!(row, single.as_slice(), "radius {at} query {i}");
+                    }
+
+                    // a live filter that rejects 90% of ids: 30 live
+                    // points, so every row is shorter than k = 40
+                    let req = QueryRequest::knn(&queries, 40);
+                    let res = each_order(&|o| {
+                        sparse_idx
+                            .query_session_filtered(&req.with_order(o), one_in_ten)
+                            .unwrap()
+                    });
+                    for (i, row) in rows(&res).into_iter().enumerate() {
+                        let expect = brute(&sparse, queries.point(i), 40, one_in_ten);
+                        assert_eq!(row.len(), 30, "filtered {at} query {i}");
+                        assert_eq!(row, expect, "filtered {at} query {i}");
+                    }
+
+                    // k above the indexed count: rows hold every point
+                    let req = QueryRequest::knn(&queries, 64);
+                    let res = each_order(&|o| tiny_idx.query_session(&req.with_order(o)).unwrap());
+                    for (i, row) in rows(&res).into_iter().enumerate() {
+                        let expect = brute(&tiny, queries.point(i), 64, |_| true);
+                        assert_eq!(row, expect, "k > n {at} query {i}");
+                    }
+                }
+            }
         }
     }
 

@@ -2,13 +2,10 @@
 //!
 //! The build environment has no network access, so this crate provides the
 //! exact parallel-iterator subset the workspace uses — `into_par_iter` /
-//! `par_iter`, `map`, `fold`, `zip`, `with_min_len`, `collect` — executed
+//! `par_iter`, `map`, `zip`, `with_min_len`, `collect` — executed
 //! on a persistent pool of real OS threads. Semantics mirror rayon
 //! where the workspace depends on them:
 //!
-//! * `fold` produces one accumulator per contiguous chunk, chunks are in
-//!   index order, and folding within a chunk is in index order (the
-//!   batched-query engine relies on this to reassemble results).
 //! * `map` is applied in parallel chunks; `collect` concatenates chunk
 //!   outputs in index order.
 //! * `collect::<Result<_, E>>()` short-circuits on the first error by
@@ -312,23 +309,6 @@ impl<T: Send> ParIter<T> {
         }
     }
 
-    /// Parallel chunked fold: one accumulator per chunk, in index order
-    /// (rayon's contract, which the query batcher relies on).
-    pub fn fold<Acc: Send, Id, F>(self, identity: Id, fold_op: F) -> ParIter<Acc>
-    where
-        Id: Fn() -> Acc + Sync,
-        F: Fn(Acc, T) -> Acc + Sync,
-    {
-        let min_len = self.min_len;
-        let out = run_chunks(self.source, min_len, |chunk| {
-            chunk.fold(identity(), &fold_op)
-        });
-        ParIter {
-            source: Source::Items(out),
-            min_len,
-        }
-    }
-
     /// Pairwise zip with another staged iterator.
     pub fn zip<U, I>(self, other: I) -> ParIter<(T, U)>
     where
@@ -392,15 +372,12 @@ mod tests {
     }
 
     #[test]
-    fn fold_chunks_cover_in_order() {
-        let folded: Vec<Vec<usize>> = (0..100usize)
-            .into_par_iter()
-            .fold(Vec::new, |mut acc, i| {
-                acc.push(i);
-                acc
-            })
-            .collect();
-        let flat: Vec<usize> = folded.into_iter().flatten().collect();
+    fn map_chunks_cover_in_order() {
+        // a collection source: every item mapped exactly once, and the
+        // chunk outputs concatenated in index order
+        let items: Vec<usize> = (0..100).collect();
+        let mapped: Vec<Vec<usize>> = items.into_par_iter().map(|i| vec![i]).collect();
+        let flat: Vec<usize> = mapped.into_iter().flatten().collect();
         assert_eq!(flat, (0..100usize).collect::<Vec<_>>());
     }
 
@@ -436,29 +413,42 @@ mod tests {
 
     #[test]
     fn range_sources_chunk_lazily_and_in_order() {
-        // fold over a range: each chunk accumulator sees its indices in
-        // order, and the chunks themselves are in index order — without
-        // the range ever being staged into a Vec
-        let folded: Vec<Vec<u32>> = (0u32..1000)
+        // map over a range: each chunk maps its indices in order, and the
+        // subranges come back in index order — without the range ever
+        // being staged into a Vec
+        let seen = std::sync::Mutex::new(Vec::new());
+        let mapped: Vec<u32> = (0u32..1000)
             .into_par_iter()
-            .fold(Vec::new, |mut acc, i| {
-                acc.push(i);
-                acc
+            .map(|i| {
+                let lane = std::thread::current().id();
+                seen.lock().unwrap().push((lane, i));
+                i
             })
             .collect();
-        assert!(folded.iter().all(|c| c.windows(2).all(|w| w[0] < w[1])));
-        let flat: Vec<u32> = folded.into_iter().flatten().collect();
-        assert_eq!(flat, (0u32..1000).collect::<Vec<_>>());
+        assert_eq!(mapped, (0u32..1000).collect::<Vec<_>>());
+        let seen = seen.into_inner().unwrap();
+        let lanes: std::collections::HashSet<_> = seen.iter().map(|&(lane, _)| lane).collect();
+        for lane in &lanes {
+            let on_lane: Vec<u32> = seen
+                .iter()
+                .filter(|(l, _)| l == lane)
+                .map(|&(_, i)| i)
+                .collect();
+            assert!(on_lane.windows(2).all(|w| w[0] < w[1]), "{lane:?}");
+        }
 
-        // a range far larger than any sane staging vector still folds
-        // in O(threads) memory (one accumulator per chunk)
-        let total: usize = (0usize..4_000_000)
+        // a range far larger than any sane staging vector still maps in
+        // O(threads) memory when the output is zero-sized: every index is
+        // visited once, and only the lazy subranges exist
+        let visits = std::sync::atomic::AtomicUsize::new(0);
+        let units: Vec<()> = (0usize..4_000_000)
             .into_par_iter()
-            .fold(|| 0usize, |acc, _| acc + 1)
-            .collect::<Vec<usize>>()
-            .iter()
-            .sum();
-        assert_eq!(total, 4_000_000);
+            .map(|_| {
+                visits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            })
+            .collect();
+        assert_eq!(units.len(), 4_000_000);
+        assert_eq!(visits.into_inner(), 4_000_000);
 
         // empty and reversed-degenerate ranges
         let empty: Vec<usize> = (5..5usize).into_par_iter().map(|i| i).collect();
