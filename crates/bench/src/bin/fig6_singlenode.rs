@@ -93,9 +93,12 @@ fn main() {
         let t0 = Instant::now();
         let par = KnnIndex::build(&points, &par_cfg).unwrap();
         let t_build_p = t0.elapsed().as_secs_f64();
-        let _ = seq.query_session(&QueryRequest::knn(&queries, 5)).unwrap();
+        // the 1T side runs the batch as one inline block; left to itself
+        // the engine would fan it out over the pool
+        let serial = QueryRequest::knn(&queries, 5).with_parallel(false);
+        let _ = seq.query_session(&serial).unwrap();
         let t0 = Instant::now();
-        let _ = seq.query_session(&QueryRequest::knn(&queries, 5)).unwrap();
+        let _ = seq.query_session(&serial).unwrap();
         let t_q1 = t0.elapsed().as_secs_f64();
         let _ = par.query_session(&QueryRequest::knn(&queries, 5)).unwrap();
         let t0 = Instant::now();

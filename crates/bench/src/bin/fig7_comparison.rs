@@ -97,7 +97,9 @@ fn main() {
 
         // --- real single-threaded querying (warmed) ---------------------
         // One request, one loop: every engine sits behind `NnBackend`.
-        let req = QueryRequest::knn(&queries, row.k);
+        // Pinned to one inline block, or PANDA's batch would fan out
+        // over the pool and the PANDA-1 row would not be one thread.
+        let req = QueryRequest::knn(&queries, row.k).with_parallel(false);
         let backends: [&dyn NnBackend; 3] = [&flann, &ann, &panda];
         let mut measured = Vec::with_capacity(backends.len());
         for backend in backends {

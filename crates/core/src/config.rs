@@ -113,12 +113,14 @@ pub struct TreeConfig {
     /// Stop breadth-first data parallelism once the number of open
     /// segments reaches `threads × data_parallel_factor` (paper: ×10).
     pub data_parallel_factor: usize,
-    /// Thread count used for (a) real rayon parallelism when `parallel`
-    /// and (b) the modeled thread pool in simulated runs.
+    /// Thread count used for (a) real rayon parallelism in construction
+    /// when `parallel` and (b) the modeled thread pool in simulated runs.
+    /// Queries never read it: each batch sizes its blocks by the pool.
     pub threads: usize,
     /// Use real rayon parallelism for construction (single-node API).
     /// Distributed ranks run their local build sequentially and charge the
-    /// modeled thread pool instead.
+    /// modeled thread pool instead. Construction only: each query batch
+    /// decides its own parallelism (see [`crate::knn::KnnIndex`]).
     pub parallel: bool,
     /// Segments at or below this size use an exact median regardless of
     /// `split_value` (cheap at small n, bounds tree depth).
@@ -187,7 +189,7 @@ impl TreeConfig {
         self
     }
 
-    /// Builder-style: enable real rayon parallelism.
+    /// Builder-style: enable real rayon parallelism in construction.
     #[must_use]
     pub fn with_parallel(mut self, p: bool) -> Self {
         self.parallel = p;

@@ -73,8 +73,12 @@ impl<'a> QueryRequest<'a> {
         self
     }
 
-    /// Override thread-parallel batch execution (local backends;
-    /// default: whatever the index was built with).
+    /// Override thread-parallel batch execution (local backends). The
+    /// default belongs to the backend: `KnnIndex` decides per batch (a
+    /// batch larger than one block fans out over the pool, a smaller one
+    /// runs on the calling thread) and `false` forces one inline block;
+    /// the baselines stay serial unless this is set to `true`. Either way
+    /// results are identical.
     #[must_use]
     pub fn with_parallel(mut self, parallel: bool) -> Self {
         self.parallel = Some(parallel);
@@ -181,7 +185,8 @@ mod tests {
         assert_eq!(req.radius_sq(), 6.25);
         assert_eq!(req.order(), QueryOrder::Input);
         assert_eq!(req.parallel(), Some(true));
-        // the default is the locality order and the backend's parallelism
+        // the default is the locality order, and parallelism the engine
+        // picks per batch
         let plain = QueryRequest::knn(&queries, 3);
         assert_eq!(plain.order(), QueryOrder::Morton);
         assert_eq!(plain.parallel(), None);

@@ -6,13 +6,15 @@
 //! engine runs every batch in a spatially coherent order: it keeps a
 //! batch whose input order is already coherent and sorts any other along
 //! a Morton curve (the rule in [`crate::morton`]), so consecutive queries
-//! share tree paths and cached leaf buckets. It dispatches one contiguous
-//! block of the schedule per worker so per-task overhead amortizes and
-//! each worker reuses one [`QueryWorkspace`]. Results are written once,
-//! into fixed-width rows of the storage the returned table owns; a
-//! reordered batch's rows are then permuted back to input order in
-//! place. Every query runs through the fused SIMD leaf kernel inherited
-//! from the traversal layer.
+//! share tree paths and cached leaf buckets. It cuts the schedule into one
+//! contiguous block per pool worker so per-task overhead amortizes and
+//! each block reuses one [`QueryWorkspace`]. Parallelism, like the order,
+//! is decided per batch rather than when the index is built: a batch
+//! larger than one block fans out over the pool, a smaller one runs on
+//! the calling thread. Results are written once, into fixed-width rows of
+//! the storage the returned table owns; a reordered batch's rows are then
+//! permuted back to input order in place. Every query runs through the
+//! fused SIMD leaf kernel inherited from the traversal layer.
 
 use rayon::prelude::*;
 
@@ -81,16 +83,13 @@ fn permute_rows_to_input_order(
 #[derive(Clone, Debug)]
 pub struct KnnIndex {
     tree: LocalKdTree,
-    parallel: bool,
 }
 
 impl KnnIndex {
     /// Build an index over `points`.
     pub fn build(points: &PointSet, cfg: &TreeConfig) -> Result<Self> {
-        let tree = LocalKdTree::build(points, cfg)?;
         Ok(Self {
-            tree,
-            parallel: cfg.parallel,
+            tree: LocalKdTree::build(points, cfg)?,
         })
     }
 
@@ -125,8 +124,10 @@ impl KnnIndex {
     }
 
     /// Answer a batch [`QueryRequest`] (the [`crate::engine::NnBackend`]
-    /// entry point): exact kNN or radius-limited kNN, with per-request
-    /// overrides of execution order and parallelism.
+    /// entry point): exact kNN or radius-limited kNN. The engine picks
+    /// each batch's execution order and parallelism; a request may still
+    /// override the order, or force one inline block with
+    /// `with_parallel(false)`.
     /// Results come back **in input order** as a flat CSR
     /// [`NeighborTable`]; workers write each query's neighbors straight
     /// into its row of the table's storage, so the batch hot path
@@ -153,7 +154,7 @@ impl KnnIndex {
             req.k(),
             req.radius_sq(),
             req.order(),
-            req.parallel().unwrap_or(self.parallel),
+            req.parallel() != Some(false),
             live,
         )?;
         panda_obs::trace::record(req.trace(), panda_obs::Stage::LeafKernel, t0);
@@ -166,9 +167,17 @@ impl KnnIndex {
 
     /// The CSR batch engine behind [`Self::query_session_filtered`],
     /// traversing with the exact bound over the points `live` accepts.
-    /// The execution order affects locality only: results and aggregate
-    /// counters are identical for any order (each query's traversal is
-    /// independent).
+    /// The execution order affects locality only, and the split into
+    /// blocks affects which thread runs a query only: results and
+    /// aggregate counters are identical for any order and any split (each
+    /// query's traversal is independent).
+    ///
+    /// The batch decides its own parallelism: it is cut into one block per
+    /// pool worker, of at least `MIN_CHUNK` queries. A batch that spans
+    /// more than one block fans the blocks out over the pool; one that
+    /// fits in a single block runs on the calling thread. `pool == false`
+    /// (a request's `with_parallel(false)`) makes the whole batch one
+    /// inline block.
     ///
     /// Every row gets `min(k, indexed points)` slots of one arena up
     /// front. Rows that come back shorter (radius limit, `live` filter)
@@ -180,7 +189,7 @@ impl KnnIndex {
         k: usize,
         radius_sq: f32,
         order: QueryOrder,
-        parallel: bool,
+        pool: bool,
         live: F,
     ) -> Result<(NeighborTable, QueryCounters)> {
         if k == 0 {
@@ -211,10 +220,10 @@ impl KnnIndex {
             QueryOrder::Morton => locality_schedule(queries.dims(), queries.coords()),
         };
         // Schedule position `j` owns `arena[j * cap..][..cap]` and
-        // `offsets[j + 1]`. Each worker takes one contiguous block of
-        // positions with ONE reusable heap + workspace, so the blocks
-        // are disjoint slices and no per-query `Vec` is allocated.
-        let threads = if parallel {
+        // `offsets[j + 1]`. Each block of contiguous positions runs with
+        // ONE reusable heap + workspace, so the blocks are disjoint slices
+        // and no per-query `Vec` is allocated.
+        let threads = if pool {
             rayon::current_num_threads()
         } else {
             1
@@ -240,19 +249,16 @@ impl KnnIndex {
             }
             c
         };
-        let blocks = arena
+        // One block is one pool chunk, and a lone chunk runs on this
+        // thread without touching the pool.
+        let per_block: Vec<QueryCounters> = arena
             .chunks_mut(block * cap)
             .zip(offsets[1..].chunks_mut(block))
-            .enumerate();
-        let per_block: Vec<QueryCounters> = if parallel {
-            blocks
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(run_block)
-                .collect()
-        } else {
-            blocks.map(run_block).collect()
-        };
+            .enumerate()
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(run_block)
+            .collect();
         let mut counters = QueryCounters::default();
         for c in &per_block {
             counters.add(c);
@@ -308,7 +314,7 @@ impl KnnIndex {
             k + 1,
             f32::INFINITY,
             QueryOrder::default(),
-            self.parallel,
+            true,
             |_| true,
         )?;
         Ok(table
@@ -410,22 +416,61 @@ mod tests {
     fn parallel_batch_matches_sequential() {
         let ps = random_ps(5000, 3, 3);
         let queries = random_ps(200, 3, 4);
-        let seq = KnnIndex::build(&ps, &TreeConfig::default()).unwrap();
-        let par = KnnIndex::build(
-            &ps,
-            &TreeConfig::default().with_parallel(true).with_threads(2),
-        )
-        .unwrap();
-        let a = seq.query_session(&QueryRequest::knn(&queries, 5)).unwrap();
-        let b = par.query_session(&QueryRequest::knn(&queries, 5)).unwrap();
+        let idx = KnnIndex::build(&ps, &TreeConfig::default()).unwrap();
+        let req = QueryRequest::knn(&queries, 5);
+        let a = idx.query_session(&req.with_parallel(false)).unwrap();
+        let b = idx.query_session(&req).unwrap();
         for (x, y) in a.neighbors.iter().zip(b.neighbors.iter()) {
             let dx: Vec<f32> = x.iter().map(|n| n.dist_sq).collect();
             let dy: Vec<f32> = y.iter().map(|n| n.dist_sq).collect();
             assert_eq!(dx, dy);
         }
-        // identical traversal work regardless of execution strategy —
-        // both trees are built from the same seed & both traverse exactly
+        // identical traversal work regardless of execution strategy: one
+        // inline block or one block per pool worker, each query traverses
+        // exactly
         assert_eq!(a.counters.queries, b.counters.queries);
+    }
+
+    #[test]
+    fn each_batch_decides_its_parallelism() {
+        // built with the default config, so construction was serial; the
+        // batches below still choose their own parallelism
+        let ps = random_ps(3000, 3, 70);
+        let idx = KnnIndex::build(&ps, &TreeConfig::default()).unwrap();
+
+        // (a) the split never shows: 1,001 queries fan out over any pool
+        // of two or more workers, or run as one block when told to
+        let queries = random_ps(1001, 3, 71);
+        let req = QueryRequest::knn(&queries, 6);
+        let default = idx.query_session(&req).unwrap();
+        assert_eq!(default.len(), 1001);
+        for parallel in [false, true] {
+            let other = idx.query_session(&req.with_parallel(parallel)).unwrap();
+            assert_eq!(rows(&default), rows(&other), "parallel={parallel}");
+            assert_eq!(default.counters, other.counters, "parallel={parallel}");
+        }
+
+        // (b) a batch that fits in one block never reaches the pool: every
+        // candidate check happens on the calling thread. The check is slow
+        // on purpose: a pool's caller drains the queue itself while it
+        // waits, so a stray block would show only once a worker has had
+        // time to wake and take it.
+        let caller = std::thread::current().id();
+        for n in [1, MIN_CHUNK as u32] {
+            let small = queries.select(&(0..n).collect::<Vec<u32>>());
+            let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+            let live = |_| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                std::thread::sleep(std::time::Duration::from_micros(50));
+                true
+            };
+            let res = idx
+                .query_session_filtered(&QueryRequest::knn(&small, 6), live)
+                .unwrap();
+            assert_eq!(res.len(), n as usize);
+            let seen = seen.into_inner().unwrap();
+            assert_eq!(seen, [caller].into_iter().collect(), "n={n}");
+        }
     }
 
     #[test]
@@ -541,6 +586,16 @@ mod tests {
             .collect()
     }
 
+    /// `req` as run by the parity tests: split as the engine chooses when
+    /// `parallel`, else forced into one inline block.
+    fn inline_unless(parallel: bool, req: QueryRequest<'_>) -> QueryRequest<'_> {
+        if parallel {
+            req
+        } else {
+            req.with_parallel(false)
+        }
+    }
+
     /// Site `i mod 125` of a 5 × 5 × 5 lattice: a source of exact copies.
     fn lattice_site(i: u64) -> [f32; 3] {
         let site = i % 125;
@@ -578,15 +633,12 @@ mod tests {
         for i in 0..1000 {
             ps.push(&lattice_site(i), 10_000 + i);
         }
+        let idx = KnnIndex::build(&ps, &TreeConfig::default()).unwrap();
         for parallel in [false, true] {
-            let cfg = TreeConfig::default()
-                .with_parallel(parallel)
-                .with_threads(2);
-            let idx = KnnIndex::build(&ps, &cfg).unwrap();
             for (shape, batch) in order_parity_batches() {
                 for n in [0u32, 1, 2, 65, 5000] {
                     let queries = batch.select(&(0..n).collect::<Vec<u32>>());
-                    let req = QueryRequest::knn(&queries, 5);
+                    let req = inline_unless(parallel, QueryRequest::knn(&queries, 5));
                     let default = idx.query_session(&req).unwrap();
                     for order in [QueryOrder::Input, QueryOrder::Morton] {
                         let other = idx.query_session(&req.with_order(order)).unwrap();
@@ -703,13 +755,11 @@ mod tests {
         let sparse = random_ps(300, 3, 63);
         let tiny = random_ps(50, 3, 62);
         let one_in_ten = |id: u64| id.is_multiple_of(10);
+        let cfg = TreeConfig::default();
+        let dense_idx = KnnIndex::build(&dense, &cfg).unwrap();
+        let sparse_idx = KnnIndex::build(&sparse, &cfg).unwrap();
+        let tiny_idx = KnnIndex::build(&tiny, &cfg).unwrap();
         for parallel in [false, true] {
-            let cfg = TreeConfig::default()
-                .with_parallel(parallel)
-                .with_threads(2);
-            let dense_idx = KnnIndex::build(&dense, &cfg).unwrap();
-            let sparse_idx = KnnIndex::build(&sparse, &cfg).unwrap();
-            let tiny_idx = KnnIndex::build(&tiny, &cfg).unwrap();
             for (shape, batch) in [("shuffled", &shuffled), ("presorted", &presorted)] {
                 for n in [10u32, 1001] {
                     let queries = batch.select(&(0..n).collect::<Vec<u32>>());
@@ -724,7 +774,8 @@ mod tests {
                     };
 
                     // radius-limited rows, some of them empty
-                    let req = QueryRequest::knn(&queries, 8).with_radius(3.0);
+                    let req =
+                        inline_unless(parallel, QueryRequest::knn(&queries, 8).with_radius(3.0));
                     let res = each_order(&|o| dense_idx.query_session(&req.with_order(o)).unwrap());
                     assert!(res.neighbors.iter().any(<[Neighbor]>::is_empty), "{at}");
                     for (i, row) in res.neighbors.iter().enumerate() {
@@ -734,7 +785,7 @@ mod tests {
 
                     // a live filter that rejects 90% of ids: 30 live
                     // points, so every row is shorter than k = 40
-                    let req = QueryRequest::knn(&queries, 40);
+                    let req = inline_unless(parallel, QueryRequest::knn(&queries, 40));
                     let res = each_order(&|o| {
                         sparse_idx
                             .query_session_filtered(&req.with_order(o), one_in_ten)
@@ -747,7 +798,7 @@ mod tests {
                     }
 
                     // k above the indexed count: rows hold every point
-                    let req = QueryRequest::knn(&queries, 64);
+                    let req = inline_unless(parallel, QueryRequest::knn(&queries, 64));
                     let res = each_order(&|o| tiny_idx.query_session(&req.with_order(o)).unwrap());
                     for (i, row) in rows(&res).into_iter().enumerate() {
                         let expect = brute(&tiny, queries.point(i), 64, |_| true);

@@ -55,11 +55,12 @@
 //!   coherent runs as given, any other in Morton (Z-order) order
 //!   ([`config::QueryOrder`], [`morton`]; per-request override via
 //!   [`engine::QueryRequest::with_order`]), so consecutive queries share
-//!   tree paths and warm leaf buckets, dispatched in contiguous chunks
-//!   with a minimum chunk length; results land in a flat CSR
-//!   [`engine::NeighborTable`] in input order — workers fill chunk-local
-//!   arenas that are spliced, so the hot path allocates no per-query
-//!   `Vec`.
+//!   tree paths and warm leaf buckets, cut into contiguous blocks with a
+//!   minimum length, one per pool worker — a batch larger than one block
+//!   fans out over the pool, a smaller one runs on the calling thread;
+//!   results are written in place into the fixed-width rows of a flat CSR
+//!   [`engine::NeighborTable`] in input order, so the hot path allocates
+//!   no per-query `Vec`.
 //!
 //! The distributed query pipeline and the baselines inherit the kernel
 //! through [`local_tree::LocalKdTree::query_into`]. Kernel-level work is

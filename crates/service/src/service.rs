@@ -519,8 +519,8 @@ impl ServiceHandle {
     /// with a [`Ticket`] unless the bounded queue is full (then the
     /// configured [`OverflowPolicy`] applies). The request's `k`,
     /// radius and deadline are honored; its order and parallel overrides
-    /// are ignored here — the backend orders each coalesced batch and
-    /// runs it with the parallelism it was built with.
+    /// are ignored here — the backend picks the order and the
+    /// parallelism of each coalesced batch.
     pub fn submit(&self, req: &QueryRequest<'_>) -> Result<Ticket> {
         self.inner.submit(req)
     }

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no network access, so this crate provides the
 //! exact parallel-iterator subset the workspace uses — `into_par_iter` /
-//! `par_iter`, `map`, `zip`, `with_min_len`, `collect` — executed
+//! `par_iter`, `map`, `zip`, `collect` — executed
 //! on a persistent pool of real OS threads. Semantics mirror rayon
 //! where the workspace depends on them:
 //!
@@ -15,8 +15,9 @@
 //! [`ThreadPool`] in [`pool`], with a process-global registry honoring
 //! `RAYON_NUM_THREADS`) instead of spawning scoped threads per call —
 //! dispatch onto even chunks costs a queue push, not a thread spawn/join
-//! round trip. The calling thread runs one chunk itself and helps drain
-//! the queue while waiting, so nesting cannot deadlock.
+//! round trip. The calling thread runs one chunk itself and, while it
+//! waits, runs any of its call's chunks still queued (never another
+//! call's or a spawned task), so nesting cannot deadlock.
 
 use std::ops::Range;
 
@@ -143,7 +144,6 @@ impl<T> Iterator for SourceIter<T> {
 /// ranges are chunked lazily (see `Source` above).
 pub struct ParIter<T> {
     source: Source<T>,
-    min_len: usize,
 }
 
 /// Conversion into a [`ParIter`] (mirrors rayon's trait of the same name).
@@ -174,7 +174,6 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     fn into_par_iter(self) -> ParIter<T> {
         ParIter {
             source: Source::Items(self),
-            min_len: 1,
         }
     }
 }
@@ -188,7 +187,6 @@ impl IntoParallelIterator for Range<usize> {
                 end: self.end.max(self.start) as u64,
                 conv: |i| i as usize,
             },
-            min_len: 1,
         }
     }
 }
@@ -202,7 +200,6 @@ impl IntoParallelIterator for Range<u32> {
                 end: u64::from(self.end.max(self.start)),
                 conv: |i| i as u32,
             },
-            min_len: 1,
         }
     }
 }
@@ -212,7 +209,6 @@ impl<'a, T: Sync> IntoParallelIterator for &'a [T] {
     fn into_par_iter(self) -> ParIter<&'a T> {
         ParIter {
             source: Source::Items(self.iter().collect()),
-            min_len: 1,
         }
     }
 }
@@ -222,7 +218,6 @@ impl<'a, T: Sync> IntoParallelIterator for &'a Vec<T> {
     fn into_par_iter(self) -> ParIter<&'a T> {
         ParIter {
             source: Source::Items(self.iter().collect()),
-            min_len: 1,
         }
     }
 }
@@ -232,7 +227,6 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     fn par_iter(&'a self) -> ParIter<&'a T> {
         ParIter {
             source: Source::Items(self.iter().collect()),
-            min_len: 1,
         }
     }
 }
@@ -242,18 +236,16 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     fn par_iter(&'a self) -> ParIter<&'a T> {
         ParIter {
             source: Source::Items(self.iter().collect()),
-            min_len: 1,
         }
     }
 }
 
 /// Split a [`Source`] into at most `current_num_threads()` contiguous
-/// chunks of at least `min_len` items and run `work` on each chunk on
-/// the persistent global pool; chunk outputs are returned in index
-/// order. Range sources hand each worker a lazy subrange iterator.
+/// chunks and run `work` on each chunk on the persistent global pool;
+/// chunk outputs are returned in index order. Range sources hand each
+/// worker a lazy subrange iterator.
 fn run_chunks<T: Send, U: Send>(
     source: Source<T>,
-    min_len: usize,
     work: impl Fn(SourceIter<T>) -> U + Sync,
 ) -> Vec<U> {
     let n = source.len();
@@ -262,7 +254,7 @@ fn run_chunks<T: Send, U: Send>(
     }
     let pool = global_pool();
     let threads = pool.num_threads().max(1);
-    let chunk = n.div_ceil(threads).max(min_len.max(1));
+    let chunk = n.div_ceil(threads);
     let mut chunks = source.split(chunk);
     if chunks.len() == 1 {
         let c = chunks.pop().expect("one chunk");
@@ -287,25 +279,14 @@ fn run_chunks<T: Send, U: Send>(
 }
 
 impl<T: Send> ParIter<T> {
-    /// Lower bound on per-thread chunk length (mirrors rayon's
-    /// `with_min_len`: limits splitting so tiny work items amortize).
-    pub fn with_min_len(mut self, min: usize) -> Self {
-        self.min_len = min.max(1);
-        self
-    }
-
     /// Parallel map, preserving index order.
     pub fn map<U: Send, F>(self, f: F) -> ParIter<U>
     where
         F: Fn(T) -> U + Sync,
     {
-        let min_len = self.min_len;
-        let out = run_chunks(self.source, min_len, |chunk| {
-            chunk.map(&f).collect::<Vec<U>>()
-        });
+        let out = run_chunks(self.source, |chunk| chunk.map(&f).collect::<Vec<U>>());
         ParIter {
             source: Source::Items(out.into_iter().flatten().collect()),
-            min_len,
         }
     }
 
@@ -315,7 +296,6 @@ impl<T: Send> ParIter<T> {
         U: Send,
         I: IntoParallelIterator<Item = U>,
     {
-        let min_len = self.min_len;
         let b = other.into_par_iter();
         ParIter {
             source: Source::Items(
@@ -324,7 +304,6 @@ impl<T: Send> ParIter<T> {
                     .zip(b.source.into_items_iter())
                     .collect(),
             ),
-            min_len,
         }
     }
 
@@ -402,16 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn with_min_len_accepted() {
-        let v: Vec<usize> = (0..10usize)
-            .into_par_iter()
-            .with_min_len(64)
-            .map(|i| i)
-            .collect();
-        assert_eq!(v.len(), 10);
-    }
-
-    #[test]
     fn range_sources_chunk_lazily_and_in_order() {
         // map over a range: each chunk maps its indices in order, and the
         // subranges come back in index order — without the range ever
@@ -453,16 +422,6 @@ mod tests {
         // empty and reversed-degenerate ranges
         let empty: Vec<usize> = (5..5usize).into_par_iter().map(|i| i).collect();
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn range_map_preserves_order_with_min_len() {
-        let v: Vec<usize> = (0..100usize)
-            .into_par_iter()
-            .with_min_len(7)
-            .map(|i| i * 3)
-            .collect();
-        assert_eq!(v, (0..100usize).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]

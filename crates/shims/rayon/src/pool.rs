@@ -11,10 +11,13 @@
 //!
 //! Execution model: a parallel call with `C` chunks runs one chunk
 //! inline on the calling thread and enqueues the other `C - 1` as jobs;
-//! the caller then *helps* — it keeps popping queued jobs while waiting
-//! for its own scope to finish — so nested parallel calls cannot
-//! deadlock and the total number of running chunk bodies never exceeds
-//! the pool size (workers + the caller).
+//! the caller then *helps* — it keeps taking its own scope's queued jobs
+//! while waiting for that scope to finish — so nested parallel calls
+//! cannot deadlock and the total number of running chunk bodies never
+//! exceeds the pool size (workers + the caller). A caller never runs
+//! another scope's job or a [`ThreadPool::spawn`]ed task: those are left
+//! to the workers, so a short parallel call cannot end up running, say, a
+//! long background rebuild before it returns.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -207,22 +210,22 @@ impl ThreadPool {
         self.shared.job_ready.notify_all();
     }
 
-    /// Help-then-wait: drain queued jobs while this scope is live, then
-    /// sleep on the latch. The short timeout covers the window where a
-    /// nested scope enqueues new help-able work after we checked the
-    /// queue.
-    fn wait_scope(&self, scope: &ScopeLatch) {
+    /// Help-then-wait: run this scope's still-queued jobs, then sleep on
+    /// the latch until the workers finish the rest. Only jobs of `scope`
+    /// are taken, which stays deadlock-free: every scope's caller can run
+    /// all of its own queued jobs itself. The latch is re-checked under
+    /// the lock `complete` takes before notifying, so no wake-up is lost;
+    /// the short timeout is only a backstop.
+    fn wait_scope(&self, scope: &Arc<ScopeLatch>) {
         loop {
             if scope.remaining.load(Ordering::Acquire) == 0 {
                 return;
             }
-            let job = self
-                .shared
-                .queue
-                .lock()
-                .expect("pool queue")
-                .jobs
-                .pop_front();
+            let job = {
+                let mut q = self.shared.queue.lock().expect("pool queue");
+                let own = q.jobs.iter().position(|j| Arc::ptr_eq(&j.scope, scope));
+                own.and_then(|i| q.jobs.remove(i))
+            };
             if let Some(job) = job {
                 execute(job);
                 continue;
@@ -437,6 +440,39 @@ mod tests {
             assert!(t0.elapsed() < Duration::from_secs(5), "spawned tasks lost");
             std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn waiting_caller_leaves_spawned_tasks_to_the_workers() {
+        // The only worker is held, so a task spawned now stays queued, in
+        // front of the scope's second job. The caller must run its own job
+        // past it and return without ever running the spawned task.
+        let pool = ThreadPool::new(2);
+        let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        pool.spawn(move || {
+            held_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        });
+        held_rx.recv().unwrap();
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel();
+        pool.spawn(move || ran_tx.send(std::thread::current().id()).unwrap());
+        let caller = std::thread::current().id();
+        let lanes = std::sync::Mutex::new(Vec::new());
+        pool.scope(
+            (0..2)
+                .map(|_| {
+                    let lanes = &lanes;
+                    Box::new(move || lanes.lock().unwrap().push(std::thread::current().id()))
+                        as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect(),
+        );
+        assert_eq!(lanes.into_inner().unwrap(), vec![caller, caller]);
+        assert!(ran_rx.try_recv().is_err(), "spawned task ran on the caller");
+        release_tx.send(()).unwrap();
+        let ran_on = ran_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_ne!(ran_on, caller);
     }
 
     #[test]

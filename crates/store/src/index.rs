@@ -918,6 +918,65 @@ mod tests {
         assert_eq!(ids_of(&nearest(), 0), vec![13, 9]);
     }
 
+    /// A batched read fans its tree blocks out over the pool while a
+    /// background compaction waits in the pool's queue. The read must
+    /// answer without running that rebuild on its own thread.
+    #[test]
+    fn batched_read_leaves_a_queued_compaction_to_the_pool() {
+        let threads = rayon::current_num_threads();
+        if threads < 2 {
+            return; // a one-lane pool runs every spawned task inline
+        }
+        // Hold every worker, so the compaction stays queued.
+        let gate = Arc::new((Mutex::new((0usize, false)), Condvar::new()));
+        struct Release(Arc<(Mutex<(usize, bool)>, Condvar)>);
+        impl Drop for Release {
+            fn drop(&mut self) {
+                self.0 .0.lock().unwrap().1 = true;
+                self.0 .1.notify_all();
+            }
+        }
+        let release = Release(Arc::clone(&gate));
+        for _ in 1..threads {
+            let gate = Arc::clone(&gate);
+            rayon::spawn(move || {
+                let (lock, cv) = &*gate;
+                let mut g = lock.lock().unwrap();
+                g.0 += 1;
+                cv.notify_all();
+                while !g.1 {
+                    g = cv.wait(g).unwrap();
+                }
+            });
+        }
+        {
+            let (lock, cv) = &*gate;
+            let mut g = lock.lock().unwrap();
+            while g.0 < threads - 1 {
+                g = cv.wait(g).unwrap();
+            }
+        }
+
+        let points = PointSet::from_coords(1, (0..200).map(|i| i as f32).collect()).unwrap();
+        let store =
+            MutableIndex::from_points(&points, StoreConfig::default().with_compact_points(4))
+                .unwrap();
+        for id in 200..204u64 {
+            store.insert(&[id as f32], id).unwrap();
+        }
+        assert!(store.compacting(), "the freeze queued a compaction");
+        let queries =
+            PointSet::from_coords(1, (0..1000).map(|i| i as f32 * 0.2 + 0.05).collect()).unwrap();
+        let res = store.query(&QueryRequest::knn(&queries, 2)).unwrap();
+        assert!(store.compacting(), "the read ran the queued compaction");
+        assert_eq!(res.len(), 1000);
+        assert_eq!(ids_of(&res, 999), vec![200, 199]);
+
+        drop(release);
+        store.quiesce();
+        assert_eq!(store.stats().compactions, 1);
+    }
+
     #[test]
     fn matches_brute_force_with_mixed_tree_log_and_tombstones() {
         let cfg = StoreConfig::default().with_synchronous_compaction(true);

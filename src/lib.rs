@@ -357,7 +357,8 @@
 //! | `QueryRequest::to_query_config()` / `QueryRequest::from_config(..)` | `QueryConfig::with_k(k)` (or a `QueryConfig { .. }` literal) |
 //! | `QueryBreakdown::total(pipelined)` | `total_pipelined()` / `total_synchronous()` |
 //! | `DistConfig { gather_rank_bboxes, .. }` | nothing — `build_distributed` always gathers the rank boxes |
-//! | `ServiceConfig::default().with_parallel(p)` | nothing: the backend runs with the parallelism it was built with |
+//! | `ServiceConfig::default().with_parallel(p)` | nothing: the backend picks each coalesced batch's parallelism |
+//! | `TreeConfig { parallel, .. }` on the query path | nothing: a batch larger than one block fans out over the pool (`TreeConfig::parallel` governs construction only) |
 //! | `ServiceConfig::default().with_cache_capacity(n)` | nothing — no caller |
 //! | `ServiceStats::cache_hits` / `cache_misses`, `service.cache.*` counters | nothing — no caller |
 //! | `NnBackend::data_epoch()` | nothing — no caller (its only reader was the cache) |
