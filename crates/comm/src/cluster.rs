@@ -8,7 +8,6 @@ use crate::clock::ClockSummary;
 use crate::comm::Comm;
 use crate::cost::{CostModel, MachineProfile};
 use crate::mailbox::Envelope;
-use crate::retry::RetryPolicy;
 use crate::stats::CommStats;
 
 /// Configuration for a simulated cluster run.
@@ -18,14 +17,13 @@ pub struct ClusterConfig {
     pub ranks: usize,
     /// Cost model used for virtual-time accounting.
     pub cost: CostModel,
-    /// Blocking-receive timeout; hitting it aborts the run with a deadlock
-    /// diagnostic instead of hanging forever. The fallible collectives
-    /// apply it per attempt, governed by `retry`.
+    /// The one bound every receive waits. A message that arrives within
+    /// it is delivered; otherwise the infallible collectives abort the
+    /// run with a deadlock diagnostic and the fallible ones
+    /// (`try_alltoallv`, `try_allgather`) return a typed
+    /// [`crate::CommError::Timeout`]. A straggler is masked exactly when
+    /// its message arrives within this bound.
     pub recv_timeout: Duration,
-    /// Retry schedule for the fallible collectives (`try_alltoallv`):
-    /// bounded attempts with jittered backoff before a typed
-    /// [`crate::CommError::Timeout`] surfaces.
-    pub retry: RetryPolicy,
 }
 
 impl ClusterConfig {
@@ -35,7 +33,6 @@ impl ClusterConfig {
             ranks,
             cost: CostModel::default(),
             recv_timeout: Duration::from_secs(120),
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -54,12 +51,6 @@ impl ClusterConfig {
     /// Replace the deadlock-detection timeout.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.recv_timeout = timeout;
-        self
-    }
-
-    /// Replace the retry policy for fallible collectives.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 }
@@ -109,12 +100,11 @@ where
             let senders = senders.clone();
             let cost = cfg.cost;
             let timeout = cfg.recv_timeout;
-            let retry = cfg.retry;
             let handle = std::thread::Builder::new()
                 .name(format!("panda-rank-{rank}"))
                 .stack_size(8 << 20)
                 .spawn_scoped(scope, move || {
-                    let mut comm = Comm::new(rank, p, senders, rx, cost, timeout, retry);
+                    let mut comm = Comm::new(rank, p, senders, rx, cost, timeout);
                     let result = f(&mut comm);
                     RankOutcome {
                         rank,
@@ -164,7 +154,7 @@ where
 /// into threads they manage themselves. `Comm` is `Send`, so each element
 /// of the returned vector (index = world rank) can migrate into its
 /// worker; collectives work exactly as under `run_cluster`, including the
-/// `recv_timeout`/`retry` deadlock detection from `cfg`.
+/// `recv_timeout` deadlock detection from `cfg`.
 ///
 /// Dropping an endpoint closes its mailbox; peers blocked on it surface
 /// the usual timeout diagnostics rather than hanging.
@@ -184,17 +174,7 @@ pub fn make_endpoints(cfg: &ClusterConfig) -> Vec<Comm> {
     receivers
         .into_iter()
         .enumerate()
-        .map(|(rank, rx)| {
-            Comm::new(
-                rank,
-                p,
-                senders.clone(),
-                rx,
-                cfg.cost,
-                cfg.recv_timeout,
-                cfg.retry,
-            )
-        })
+        .map(|(rank, rx)| Comm::new(rank, p, senders.clone(), rx, cfg.cost, cfg.recv_timeout))
         .collect()
 }
 

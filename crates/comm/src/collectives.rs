@@ -223,10 +223,10 @@ impl Group<'_> {
         self.try_alltoallv(sends).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Group::alltoallv`]: a peer stalled past the configured
-    /// receive timeout (after every retry the [`crate::RetryPolicy`]
-    /// allows, with jittered backoff between attempts) surfaces as
-    /// [`crate::CommError::Timeout`] instead of aborting the run.
+    /// Fallible [`Group::alltoallv`]: each receive waits the one bound,
+    /// [`crate::ClusterConfig::recv_timeout`]. A peer stalled past it
+    /// surfaces as [`crate::CommError::Timeout`] instead of aborting the
+    /// run; a straggler within it is simply waited for.
     ///
     /// On error the exchange is torn: sends were already posted and some
     /// peer payloads may have been consumed, so the collective sequence
@@ -273,7 +273,7 @@ impl Group<'_> {
         for j in 0..g {
             if j != me {
                 let src = self.world_rank(j);
-                let env = self.comm.try_recv_env_retry(src, tag)?;
+                let env = self.comm.try_recv_env(src, tag)?;
                 max_vt = max_vt.max(env.vtime);
                 in_bytes += env.bytes;
                 out[j] = Some(*env.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {
@@ -298,7 +298,7 @@ impl Group<'_> {
     }
 
     /// Fallible [`Group::allgather`]: a stalled peer surfaces as
-    /// [`crate::CommError::Timeout`] (after the retry schedule) instead of
+    /// [`crate::CommError::Timeout`] (after one `recv_timeout`) instead of
     /// aborting the run. Same torn-exchange caveat as
     /// [`Group::try_alltoallv`]: on error, quiesce every rank before
     /// reusing the communicator for collectives.
@@ -329,7 +329,7 @@ impl Group<'_> {
         for j in 0..g {
             if j != me {
                 let src = self.world_rank(j);
-                let env = self.comm.try_recv_env_retry(src, tag)?;
+                let env = self.comm.try_recv_env(src, tag)?;
                 max_vt = max_vt.max(env.vtime);
                 total_in += env.bytes;
                 out[j] = Some(*env.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {

@@ -17,7 +17,6 @@ use crate::cost::CostModel;
 use crate::error::CommError;
 use crate::group::Group;
 use crate::mailbox::{Envelope, PendingStore};
-use crate::retry::RetryPolicy;
 use crate::stats::CommStats;
 
 /// Message tag. The top bit is reserved for collective traffic; user tags
@@ -38,7 +37,6 @@ pub struct Comm {
     pub(crate) coll_seq: HashMap<(usize, usize), u64>,
     pub(crate) coll_seq_base: u64,
     timeout: Duration,
-    retry: RetryPolicy,
 }
 
 impl Comm {
@@ -52,7 +50,6 @@ impl Comm {
         inbox: Receiver<Envelope>,
         cost: CostModel,
         timeout: Duration,
-        retry: RetryPolicy,
     ) -> Self {
         Self {
             rank,
@@ -66,7 +63,6 @@ impl Comm {
             coll_seq: HashMap::new(),
             coll_seq_base: 0,
             timeout,
-            retry,
         }
     }
 
@@ -104,18 +100,11 @@ impl Comm {
         self.stats
     }
 
-    /// The per-attempt blocking-receive timeout this rank was configured
-    /// with (see [`crate::ClusterConfig::with_timeout`]).
+    /// The bound every blocking receive on this rank waits (see
+    /// [`crate::ClusterConfig::recv_timeout`]).
     #[inline]
     pub fn recv_timeout(&self) -> Duration {
         self.timeout
-    }
-
-    /// The retry policy applied by the fallible collectives (see
-    /// [`crate::ClusterConfig::with_retry`]).
-    #[inline]
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Number of messages parked in this rank's pending store (arrived but
@@ -286,9 +275,9 @@ impl Comm {
     ///
     /// # Panics
     /// On timeout or peer death — the infallible collectives mirror an MPI
-    /// abort. The fallible paths use [`Comm::try_recv_env_retry`] instead.
+    /// abort. The fallible paths use [`Comm::try_recv_env`] instead.
     pub(crate) fn recv_env(&mut self, src: usize, tag: Tag) -> Envelope {
-        match self.try_recv_env_once(src, tag) {
+        match self.try_recv_env(src, tag) {
             Ok(env) => env,
             Err(CommError::Timeout { .. }) => panic!(
                 "rank {}: receive from rank {src} (tag {tag:#x}) timed out after {:?} — \
@@ -301,10 +290,10 @@ impl Comm {
         }
     }
 
-    /// One bounded receive attempt: wait up to the configured timeout for
-    /// a matching envelope, parking non-matching arrivals. No clock side
-    /// effects, no panic — timeout and peer death come back typed.
-    pub(crate) fn try_recv_env_once(&mut self, src: usize, tag: Tag) -> crate::Result<Envelope> {
+    /// Bounded receive: wait up to the configured timeout for a matching
+    /// envelope, parking non-matching arrivals. No clock side effects, no
+    /// panic — timeout and peer death come back typed.
+    pub(crate) fn try_recv_env(&mut self, src: usize, tag: Tag) -> crate::Result<Envelope> {
         if let Some(env) = self.pending.pop(src, tag) {
             return Ok(env);
         }
@@ -321,7 +310,6 @@ impl Comm {
                         rank: self.rank,
                         src,
                         tag,
-                        attempts: 1,
                     })
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -330,34 +318,6 @@ impl Comm {
                         self.rank
                     )))
                 }
-            }
-        }
-    }
-
-    /// Bounded-retry envelope receive: applies the configured
-    /// [`RetryPolicy`] on timeout (counted in `stats.recv_retries`,
-    /// jittered backoff between attempts) before surfacing
-    /// [`CommError::Timeout`] with the attempt total.
-    pub(crate) fn try_recv_env_retry(&mut self, src: usize, tag: Tag) -> crate::Result<Envelope> {
-        let max = self.retry.max_attempts.max(1);
-        let mut attempt = 1u32;
-        loop {
-            match self.try_recv_env_once(src, tag) {
-                Ok(env) => return Ok(env),
-                Err(CommError::Timeout { .. }) if attempt < max => {
-                    self.stats.recv_retries += 1;
-                    std::thread::sleep(self.retry.backoff(attempt, self.rank as u64));
-                    attempt += 1;
-                }
-                Err(CommError::Timeout { rank, src, tag, .. }) => {
-                    return Err(CommError::Timeout {
-                        rank,
-                        src,
-                        tag,
-                        attempts: attempt,
-                    })
-                }
-                Err(e) => return Err(e),
             }
         }
     }

@@ -9,9 +9,9 @@ use std::fmt;
 /// and panic with context where it is not (mirroring how MPI aborts).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
-    /// A blocking receive exhausted the configured timeout (including
-    /// every retry the [`crate::RetryPolicy`] allowed). Indicates either
-    /// a dead/stalled peer or mismatched send/recv sequences (deadlock).
+    /// A blocking receive waited [`crate::ClusterConfig::recv_timeout`]
+    /// with no matching message. Indicates either a dead/stalled peer or
+    /// mismatched send/recv sequences (deadlock).
     Timeout {
         /// Rank that was waiting.
         rank: usize,
@@ -19,8 +19,6 @@ pub enum CommError {
         src: usize,
         /// Tag the receive was posted against.
         tag: u64,
-        /// Receive attempts made before giving up (≥ 1).
-        attempts: u32,
     },
     /// A message payload did not have the type the receiver asked for.
     TypeMismatch {
@@ -47,15 +45,10 @@ pub enum CommError {
 impl fmt::Display for CommError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CommError::Timeout {
-                rank,
-                src,
-                tag,
-                attempts,
-            } => write!(
+            CommError::Timeout { rank, src, tag } => write!(
                 f,
                 "rank {rank}: receive from rank {src} (tag {tag:#x}) timed out \
-                 after {attempts} attempt(s) — stalled peer or deadlock"
+                 — stalled peer or deadlock"
             ),
             CommError::TypeMismatch { rank, src, tag } => write!(
                 f,
@@ -85,12 +78,10 @@ mod tests {
             rank: 3,
             src: 1,
             tag: 0xff,
-            attempts: 2,
         };
         let s = e.to_string();
         assert!(s.contains("rank 3"));
         assert!(s.contains("timed out"));
-        assert!(s.contains("2 attempt"));
 
         let e = CommError::InvalidRank { rank: 9, size: 4 };
         assert!(e.to_string().contains("9"));

@@ -49,7 +49,6 @@ pub mod cost;
 pub mod error;
 pub mod group;
 pub(crate) mod mailbox;
-pub mod retry;
 pub mod stats;
 pub mod telemetry;
 
@@ -60,7 +59,6 @@ pub use comm::{Comm, Tag};
 pub use cost::{log2_ceil, ComputeCosts, CostModel, MachineProfile, NetworkCosts, ThreadModel};
 pub use error::CommError;
 pub use group::Group;
-pub use retry::RetryPolicy;
 pub use stats::CommStats;
 pub use telemetry::CommMeter;
 

@@ -23,9 +23,6 @@ pub struct CommStats {
     pub collective_bytes_out: u64,
     /// Payload bytes this rank received from collectives.
     pub collective_bytes_in: u64,
-    /// Receive attempts that timed out and were retried under the
-    /// configured [`crate::RetryPolicy`] (fallible collectives only).
-    pub recv_retries: u64,
 }
 
 impl CommStats {
@@ -53,7 +50,6 @@ impl CommStats {
         self.collectives += other.collectives;
         self.collective_bytes_out += other.collective_bytes_out;
         self.collective_bytes_in += other.collective_bytes_in;
-        self.recv_retries += other.recv_retries;
     }
 
     /// Difference since an earlier snapshot (for per-phase accounting).
@@ -67,7 +63,6 @@ impl CommStats {
             collectives: self.collectives - earlier.collectives,
             collective_bytes_out: self.collective_bytes_out - earlier.collective_bytes_out,
             collective_bytes_in: self.collective_bytes_in - earlier.collective_bytes_in,
-            recv_retries: self.recv_retries - earlier.recv_retries,
         }
     }
 }
@@ -85,7 +80,6 @@ mod tests {
             collectives: 5,
             collective_bytes_out: 50,
             collective_bytes_in: 70,
-            recv_retries: 1,
         }
     }
 
@@ -102,7 +96,6 @@ mod tests {
         a.merge(&sample());
         assert_eq!(a.sent_msgs, 6);
         assert_eq!(a.collective_bytes_in, 140);
-        assert_eq!(a.recv_retries, 2);
         assert_eq!(a.total_bytes(), 2 * sample().total_bytes());
     }
 

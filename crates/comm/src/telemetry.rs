@@ -12,7 +12,7 @@ use crate::stats::CommStats;
 use panda_obs::{Counter, Registry};
 
 /// Names of the registry counters a [`CommMeter`] publishes into.
-pub const COMM_COUNTER_NAMES: [&str; 8] = [
+pub const COMM_COUNTER_NAMES: [&str; 7] = [
     "comm.sent_msgs",
     "comm.sent_bytes",
     "comm.recv_msgs",
@@ -20,7 +20,6 @@ pub const COMM_COUNTER_NAMES: [&str; 8] = [
     "comm.collectives",
     "comm.collective_bytes_out",
     "comm.collective_bytes_in",
-    "comm.recv_retries",
 ];
 
 /// Delta-publishes one rank's [`CommStats`] into shared `comm.*`
@@ -34,7 +33,6 @@ pub struct CommMeter {
     collectives: Counter,
     collective_bytes_out: Counter,
     collective_bytes_in: Counter,
-    recv_retries: Counter,
     last: CommStats,
 }
 
@@ -51,7 +49,6 @@ impl CommMeter {
             collectives: reg.counter("comm.collectives"),
             collective_bytes_out: reg.counter("comm.collective_bytes_out"),
             collective_bytes_in: reg.counter("comm.collective_bytes_in"),
-            recv_retries: reg.counter("comm.recv_retries"),
             last: CommStats::default(),
         }
     }
@@ -83,9 +80,6 @@ impl CommMeter {
         }
         if d.collective_bytes_in > 0 {
             self.collective_bytes_in.add(d.collective_bytes_in);
-        }
-        if d.recv_retries > 0 {
-            self.recv_retries.add(d.recv_retries);
         }
     }
 }

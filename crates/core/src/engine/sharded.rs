@@ -21,15 +21,16 @@
 //!   [`NeighborTable`] in submission order — the reply channel *is* the
 //!   origin-return leg, so two of the SPMD path's four alltoallv
 //!   exchanges simply disappear.
-//! * **Workers are supervised** like the service scheduler (PR 6): a
-//!   panicking shard resolves the in-flight round with a typed
-//!   [`PandaError::BackendPanicked`], the worker restarts with bounded
-//!   exponential backoff, and the front end re-synchronizes every
-//!   endpoint with [`panda_comm::Comm::quiesce`] (same epoch on every
-//!   shard) before the next round. An injected or real comm timeout
-//!   inside a worker surfaces as [`PandaError::Comm`] — never a hang —
-//!   because every collective on the worker path is the fallible
-//!   (`try_*`) variant with the cluster's retry policy.
+//! * **A worker catches its own panics**, like the service scheduler: a
+//!   panic inside a round is caught where it happens, the worker replies
+//!   at once with a typed [`PandaError::BackendPanicked`] (counted in
+//!   `shard.restarts`, the panics caught) and serves the next job, and
+//!   the front end re-synchronizes every endpoint with
+//!   [`panda_comm::Comm::quiesce`] (same epoch on every shard) before
+//!   the next round. An injected or real comm timeout inside a worker
+//!   surfaces as [`PandaError::Comm`] — never a hang — because every
+//!   collective on the worker path is the fallible (`try_*`) variant,
+//!   which waits the cluster's one `recv_timeout`.
 //!
 //! Because results are bit-for-bit identical to the single-shard local
 //! engine (same kernels, same merge order — pinned by tests here and in
@@ -61,7 +62,7 @@ use crate::faultpoint::{self, points};
 use crate::global_tree::GlobalKdTree;
 use crate::point::PointSet;
 use crate::query_distributed::{owned_pipeline, Owned, OwnedOutput};
-use crate::supervise::{panic_message, restart_backoff};
+use crate::supervise::panic_message;
 
 /// One unit of work shipped to a shard worker. Every round sends one job
 /// to **every** shard — the KNN pipeline is collective, so a shard with
@@ -166,8 +167,8 @@ impl ShardedIndex {
     }
 
     /// [`ShardedIndex::build`] with an explicit [`ClusterConfig`]:
-    /// `cluster.ranks` is the shard count, and its cost model, receive
-    /// timeout, and retry policy govern the workers' comm endpoints —
+    /// `cluster.ranks` is the shard count, and its cost model and receive
+    /// timeout govern the workers' comm endpoints —
     /// chaos tests shorten the timeout so injected stalls surface as
     /// typed errors in milliseconds rather than minutes.
     pub fn build_with_cluster(
@@ -277,8 +278,9 @@ impl ShardedIndex {
         &self.global
     }
 
-    /// How many times a shard worker recovered from a panic. A healthy
-    /// cluster stays at 0; supervision tests assert it advances.
+    /// Panics caught by the shard workers (`shard.restarts`): each one
+    /// failed its round with [`PandaError::BackendPanicked`] and the
+    /// worker went on serving. A healthy cluster stays at 0.
     pub fn shard_restarts(&self) -> u64 {
         self.restarts.get()
     }
@@ -515,10 +517,9 @@ fn worker_entry(
     );
 }
 
-/// Serve jobs forever. A panic inside a job is the supervised failure
-/// mode: the round resolves with a typed error, the restart counter
-/// advances, and after a bounded back-off the worker keeps serving — the
-/// loop iteration *is* the restart.
+/// Serve jobs forever. A panic inside a job is caught where it happens:
+/// the round resolves at once with a typed error, the panic counter
+/// advances, and the worker takes the next job.
 #[allow(clippy::too_many_arguments)] // spawn-time wiring, called once
 fn worker_loop(
     comm: &mut Comm,
@@ -529,7 +530,6 @@ fn worker_loop(
     restarts: &Counter,
     mut meter: CommMeter,
 ) {
-    let mut consecutive_panics = 0u32;
     loop {
         let job = match job_rx.recv() {
             Ok(job) => job,
@@ -555,42 +555,19 @@ fn worker_loop(
                 }));
                 trace::record(trace_id, Stage::ShardWorker, t0);
                 meter.publish(&comm.stats());
-                match res {
-                    Ok(res) => {
-                        if res.is_ok() {
-                            consecutive_panics = 0;
-                        }
-                        ShardReply::Knn(res)
-                    }
-                    Err(panic) => ShardReply::Knn(Err(supervise_panic(
-                        shard,
-                        &panic,
-                        restarts,
-                        &mut consecutive_panics,
-                    ))),
-                }
+                ShardReply::Knn(res.unwrap_or_else(|panic| {
+                    restarts.inc();
+                    Err(PandaError::BackendPanicked(format!(
+                        "shard {shard} panicked mid-batch: {}",
+                        panic_message(panic.as_ref())
+                    )))
+                }))
             }
         };
         if reply_tx.send(body).is_err() {
             return; // front handle dropped mid-round
         }
     }
-}
-
-/// Record a worker panic: typed error for the in-flight round, restart
-/// accounting, bounded exponential back-off before the next job.
-fn supervise_panic(
-    shard: usize,
-    panic: &(dyn std::any::Any + Send),
-    restarts: &Counter,
-    consecutive: &mut u32,
-) -> PandaError {
-    restarts.inc();
-    std::thread::sleep(restart_backoff(consecutive));
-    PandaError::BackendPanicked(format!(
-        "shard {shard} panicked mid-batch: {}",
-        panic_message(panic)
-    ))
 }
 
 #[cfg(test)]

@@ -105,7 +105,7 @@ pub enum PandaError {
     /// The client cancelled the submission before execution; its queue
     /// slot was reclaimed and the query never ran.
     Cancelled,
-    /// A communication-layer failure (stalled peer, exhausted retries)
+    /// A communication-layer failure (a peer stalled past the receive bound)
     /// surfaced through a distributed query instead of aborting the run.
     Comm(CommError),
     /// An insert supplied a global id that is already live in a mutable
@@ -250,7 +250,6 @@ mod tests {
             rank: 2,
             src: 0,
             tag: 0x8000_0000_0000_0004,
-            attempts: 3,
         };
         let e: PandaError = inner.clone().into();
         assert_eq!(e, PandaError::Comm(inner));

@@ -377,7 +377,6 @@ fn fire(point: &str, ctx: Option<u64>) -> Result<()> {
             rank: ctx.unwrap_or(0) as usize,
             src: 0,
             tag: 0,
-            attempts: 1,
         })),
         Some(FaultAction::Panic) => panic!("injected fault panic at {point}"),
         Some(FaultAction::Delay(d)) => {

@@ -239,6 +239,7 @@ impl LocalKdTree {
     }
 }
 
+#[cfg(test)]
 impl LocalKdTree {
     /// Reference traversal kept for differential testing: the
     /// pre-optimization implementation with a full `[f32; MAX_DIMS]`
@@ -247,7 +248,7 @@ impl LocalKdTree {
     /// results bit-identical to [`Self::query_into`];
     /// `fused_traversal_matches_reference_traversal` below holds the
     /// fused hot path to that.
-    pub fn query_into_reference(
+    fn query_into_reference(
         &self,
         q: &[f32],
         heap: &mut KnnHeap,

@@ -55,13 +55,12 @@
 //!   [`Ticket::wait_timeout`] miss) discards the eventual reply and is
 //!   counted in `ServiceStats::abandoned`; the full lifecycle contract
 //!   is documented on [`Ticket`].
-//! * **Supervision** — the scheduler thread runs under a supervisor: a
-//!   panic that escapes the scheduler loop (backend panics are already
-//!   caught per batch) resolves every in-flight ticket with
-//!   [`PandaError::BackendPanicked`](panda_core::PandaError::BackendPanicked),
-//!   repairs the queue, and restarts the loop after a bounded
-//!   exponential backoff (`ServiceStats::scheduler_restarts`). The
-//!   service keeps accepting and serving work across crashes.
+//! * **Panics** — the scheduler catches a panic where it happens, per
+//!   flush (backend panics are already caught per batch): every ticket
+//!   of that flush still pending resolves with
+//!   [`PandaError::BackendPanicked`](panda_core::PandaError::BackendPanicked)
+//!   carrying the root-cause message, and the same loop takes the next
+//!   flush. The service keeps accepting and serving work across panics.
 //!
 //! The chaos suite (`tests/chaos.rs` at the workspace root) drives all
 //! of these through `panda_core::faultpoint`.

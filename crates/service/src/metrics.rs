@@ -1,6 +1,6 @@
 //! Service observability: lock-free counters (including the robustness
-//! set: deadline sheds, cancellations, scheduler restarts, abandoned
-//! tickets), a batch-size histogram, and a latency histogram with
+//! set: deadline sheds, cancellations, abandoned tickets), a
+//! batch-size histogram, and a latency histogram with
 //! quantile readout — all surfaced as a [`ServiceStats`] snapshot the
 //! way distributed responses surface `QueryBreakdown`.
 //!
@@ -33,7 +33,6 @@ pub(crate) struct Metrics {
     pub batches: Counter,
     pub deadline_exceeded: Counter,
     pub cancelled: Counter,
-    pub scheduler_restarts: Counter,
     pub abandoned: Counter,
     pub queue_depth: Gauge,
     pub max_queue_depth: Gauge,
@@ -57,7 +56,6 @@ impl Metrics {
             batches: registry.counter("service.batches"),
             deadline_exceeded: registry.counter("service.deadline_exceeded"),
             cancelled: registry.counter("service.cancelled"),
-            scheduler_restarts: registry.counter("service.scheduler_restarts"),
             abandoned: registry.counter("service.abandoned"),
             queue_depth: registry.gauge("service.queue_depth"),
             max_queue_depth: registry.gauge("service.queue_depth_max"),
@@ -95,7 +93,6 @@ impl Metrics {
             batches: self.batches.get(),
             deadline_exceeded: self.deadline_exceeded.get(),
             cancelled: self.cancelled.get(),
-            scheduler_restarts: self.scheduler_restarts.get(),
             abandoned: self.abandoned.get(),
             queue_depth: self.queue_depth.get() as usize,
             max_queue_depth: self.max_queue_depth.get() as usize,
@@ -125,9 +122,6 @@ pub struct ServiceStats {
     /// Submissions detached via `Ticket::cancel` and reclaimed at flush
     /// time; resolved with `PandaError::Cancelled`.
     pub cancelled: u64,
-    /// Times the supervisor restarted the scheduler thread after a
-    /// panic escaped the scheduler loop.
-    pub scheduler_restarts: u64,
     /// Tickets whose client dropped the handle before the reply arrived
     /// (e.g. after a `wait_timeout` miss); the reply was discarded.
     pub abandoned: u64,
@@ -253,12 +247,10 @@ mod tests {
         let m = Metrics::new();
         m.deadline_exceeded.add(2);
         m.cancelled.add(3);
-        m.scheduler_restarts.inc();
         m.abandoned.add(4);
         let s = m.snapshot();
         assert_eq!(s.deadline_exceeded, 2);
         assert_eq!(s.cancelled, 3);
-        assert_eq!(s.scheduler_restarts, 1);
         assert_eq!(s.abandoned, 4);
     }
 

@@ -1,13 +1,13 @@
-//! The service proper: bounded submission queue, supervised scheduler
-//! thread, micro-batch assembly with deadline/cancellation shedding,
-//! and zero-copy scatter-back.
+//! The service proper: bounded submission queue, a scheduler thread that
+//! catches a panic per flush, micro-batch assembly with
+//! deadline/cancellation shedding, and zero-copy scatter-back.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use panda_core::engine::{NnBackend, QueryRequest, QueryResponse};
-use panda_core::supervise::{panic_message, restart_backoff};
+use panda_core::supervise::panic_message;
 use panda_core::{faultpoint, NeighborTable, PandaError, PointSet, QueryCounters, Result};
 use panda_obs::trace::{self, Stage};
 use panda_obs::{Snapshot, TraceId};
@@ -15,10 +15,6 @@ use panda_obs::{Snapshot, TraceId};
 use crate::config::{OverflowPolicy, ServiceConfig};
 use crate::metrics::{Metrics, ServiceStats};
 use crate::ticket::{Ticket, TicketReply, TicketShared, WakeHub};
-
-/// A scheduler incarnation that survives this long resets the
-/// consecutive-panic count (the fault was transient, not systemic).
-const RESTART_HEALTHY_RESET: Duration = Duration::from_secs(5);
 
 /// Requests can only be coalesced into one engine batch when they agree
 /// on everything that changes answers: `k` and the radius limit.
@@ -66,10 +62,6 @@ struct QueueState {
     queued_queries: usize,
     /// Submissions taken by the scheduler but not yet resolved.
     in_flight: usize,
-    /// Tickets of the batch currently executing, registered before the
-    /// state lock is released so a panicking scheduler iteration leaves
-    /// the supervisor enough to resolve every stranded client.
-    in_flight_tickets: Vec<Arc<TicketShared>>,
     stopped: bool,
 }
 
@@ -90,10 +82,9 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
-    /// Poison-tolerant state lock: a panicking scheduler iteration must
-    /// degrade the service, not brick it. The supervisor restores the
-    /// queue invariants in `repair_after_panic` before anyone relies on
-    /// them again.
+    /// Poison-tolerant state lock: a panic must degrade the service, not
+    /// brick it. The lock is never held across a flush, so the queue
+    /// invariants hold whenever it is taken.
     fn state_lock(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -250,8 +241,8 @@ impl ServiceInner {
     fn execute(&self, taken: Vec<Pending>) {
         // Chaos hook on the drain path. `Fail`/`Timeout` degrade the
         // whole flush to typed errors (clients see them, the service
-        // keeps serving); `Panic` escapes to the supervisor, which
-        // resolves these tickets via the in-flight registry.
+        // keeps serving); `Panic` escapes to the scheduler loop, which
+        // resolves this flush's tickets with `BackendPanicked`.
         if let Err(e) = faultpoint::maybe_fail(faultpoint::points::SERVICE_DRAIN) {
             for m in taken {
                 self.resolve(m, Err(e.clone()));
@@ -338,41 +329,19 @@ impl ServiceInner {
         }
     }
 
-    /// Post-panic repair, run by the supervisor before restarting the
-    /// scheduler: resolve every ticket the dead incarnation had in
-    /// flight with [`PandaError::BackendPanicked`], rebuild the queue
-    /// accounting from what is still pending, and release anyone blocked
-    /// on queue space or idleness.
-    fn repair_after_panic(&self, msg: &str) {
-        let stranded: Vec<Arc<TicketShared>>;
-        {
-            let mut st = self.state_lock();
-            stranded = std::mem::take(&mut st.in_flight_tickets);
-            st.in_flight = 0;
-            st.queued_queries = st.pending.iter().map(|p| p.n_queries).sum();
-            self.metrics.set_queue_depth(st.queued_queries);
-            if st.pending.is_empty() {
-                self.idle.notify_all();
+    /// Resolve every ticket of a flush that panicked and is still
+    /// pending with [`PandaError::BackendPanicked`]. Tickets the flush
+    /// already resolved stay as they were.
+    fn resolve_panicked(&self, tickets: &[Arc<TicketShared>], msg: &str) {
+        for ticket in tickets.iter().filter(|t| !t.is_done()) {
+            ticket.resolve(Err(PandaError::BackendPanicked(format!(
+                "scheduler panicked mid-batch: {msg}"
+            ))));
+            if ticket.is_abandoned() {
+                self.metrics.abandoned.inc();
             }
         }
-        self.space.notify_all();
-        let mut resolved_any = false;
-        for ticket in stranded {
-            // Anything the dying iteration already resolved stays as it
-            // was; only still-pending tickets get the panic error.
-            if !ticket.is_done() {
-                ticket.resolve(Err(PandaError::BackendPanicked(format!(
-                    "scheduler panicked mid-batch: {msg}"
-                ))));
-                if ticket.is_abandoned() {
-                    self.metrics.abandoned.inc();
-                }
-                resolved_any = true;
-            }
-        }
-        if resolved_any {
-            self.wake.wake_all();
-        }
+        self.wake.wake_all();
     }
 
     /// One coherent telemetry snapshot for the whole stack: the
@@ -436,10 +405,6 @@ fn scheduler_loop(inner: &ServiceInner) {
             st.pending.append(&mut rest);
             st.queued_queries -= freed_q + take_q;
             st.in_flight += taken.len();
-            // Register the batch's tickets while still holding the lock:
-            // if this iteration panics mid-execute, the supervisor finds
-            // them here and resolves every stranded client.
-            st.in_flight_tickets = taken.iter().map(|p| Arc::clone(&p.ticket)).collect();
             inner.metrics.set_queue_depth(st.queued_queries);
             if taken.is_empty() && st.pending.is_empty() && st.in_flight == 0 {
                 // Everything queued was shed; drain waiters are idle.
@@ -459,45 +424,19 @@ fn scheduler_loop(inner: &ServiceInner) {
             continue;
         }
         let n_taken = taken.len();
-        inner.execute(taken);
+        // A panic in this flush (an injected drain fault, or a bug outside
+        // the backend's own `catch_unwind`) is caught here: every ticket
+        // it left pending resolves typed, and the loop goes on to the
+        // next flush.
+        let tickets: Vec<Arc<TicketShared>> = taken.iter().map(|p| Arc::clone(&p.ticket)).collect();
+        if let Err(panic) = std::panic::catch_unwind(AssertUnwindSafe(|| inner.execute(taken))) {
+            inner.resolve_panicked(&tickets, &panic_message(panic.as_ref()));
+        }
         {
             let mut st = inner.state_lock();
             st.in_flight -= n_taken;
-            st.in_flight_tickets.clear();
             if st.in_flight == 0 && st.pending.is_empty() {
                 inner.idle.notify_all();
-            }
-        }
-    }
-}
-
-/// Supervised scheduler entry point: run [`scheduler_loop`]; when a
-/// panic escapes it (an injected fault, or a bug outside the backend
-/// `catch_unwind`), repair the queue state, resolve stranded tickets,
-/// and restart the loop after a bounded exponential backoff. A clean
-/// return (shutdown) ends supervision. The service therefore keeps
-/// accepting and serving work across scheduler crashes instead of
-/// silently dying with clients blocked forever.
-fn supervisor_loop(inner: &ServiceInner) {
-    let mut consecutive = 0u32;
-    loop {
-        let started = Instant::now();
-        match std::panic::catch_unwind(AssertUnwindSafe(|| scheduler_loop(inner))) {
-            Ok(()) => return,
-            Err(panic) => {
-                let msg = panic_message(panic.as_ref());
-                inner.metrics.scheduler_restarts.inc();
-                inner.repair_after_panic(&msg);
-                if started.elapsed() >= RESTART_HEALTHY_RESET {
-                    consecutive = 0;
-                }
-                let backoff = restart_backoff(&mut consecutive);
-                // Restart even when stopped: a shutdown-concurrent panic
-                // still leaves queued submissions to flush, and the loop
-                // exits cleanly once the queue is empty. Progress is
-                // guaranteed — every incarnation takes at least one
-                // submission out of the queue.
-                std::thread::sleep(backoff);
             }
         }
     }
@@ -575,7 +514,6 @@ impl QueryService {
                 pending: Vec::new(),
                 queued_queries: 0,
                 in_flight: 0,
-                in_flight_tickets: Vec::new(),
                 stopped: false,
             }),
             not_empty: Condvar::new(),
@@ -588,7 +526,7 @@ impl QueryService {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("panda-service".into())
-                .spawn(move || supervisor_loop(&inner))
+                .spawn(move || scheduler_loop(&inner))
                 .map_err(|e| PandaError::BadConfig(format!("spawn scheduler: {e}")))?
         };
         Ok(Self {
@@ -642,10 +580,9 @@ impl QueryService {
     fn shutdown_in_place(&mut self) {
         self.inner.stop();
         if let Some(handle) = self.scheduler.take() {
-            // The supervisor absorbs scheduler panics (restarting after
-            // repair), so a normal join returns once the queue is
-            // flushed; `let _` only guards against panics in the
-            // supervisor itself.
+            // The scheduler catches each flush's panic itself, so a normal
+            // join returns once the queue is flushed; `let _` only guards
+            // against a panic outside a flush.
             let _ = handle.join();
         }
     }

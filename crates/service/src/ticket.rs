@@ -99,8 +99,8 @@ impl TicketReply {
 ///
 /// All hub locking is poison-tolerant: the guarded state is the empty
 /// tuple, so a panicking holder leaves nothing inconsistent behind and
-/// waiters must keep working after a scheduler panic (the supervisor
-/// resolves their tickets through this same hub).
+/// waiters must keep working after a flush panics (the scheduler
+/// resolves that flush's tickets through this same hub).
 pub(crate) struct WakeHub {
     lock: Mutex<()>,
     cv: Condvar,

@@ -205,29 +205,25 @@
 //!   Dropping a still-pending ticket instead (e.g. after a
 //!   `wait_timeout` miss) *abandons* it: the work still runs, the reply
 //!   is discarded, and `ServiceStats::abandoned` counts it.
-//! * **Backend panics and scheduler crashes.** A panicking backend
-//!   resolves its whole micro-batch with `PandaError::BackendPanicked`.
-//!   A panic that escapes the scheduler loop itself is absorbed by a
-//!   **supervisor**: in-flight tickets resolve with `BackendPanicked`,
-//!   the queue is repaired, and the scheduler restarts after a bounded
-//!   exponential backoff (`ServiceStats::scheduler_restarts`) — the
-//!   service keeps serving.
-//! * **Distributed communication.** A stalled or dead peer inside a
-//!   distributed query surfaces as
-//!   `PandaError::Comm(CommError::Timeout { .. })` on **every** rank
-//!   instead of aborting the process; transient stalls are absorbed by a
-//!   per-exchange retry with jittered exponential backoff
-//!   ([`RetryPolicy`](comm::RetryPolicy), configurable via
-//!   `ClusterConfig::with_retry`). After an error the communicator is
-//!   reusable once every rank calls `Comm::quiesce` with a common epoch —
+//! * **Panics in the service.** A panicking backend resolves its whole
+//!   micro-batch with `PandaError::BackendPanicked`. Any other panic in
+//!   a flush is caught by the scheduler where it happens: every ticket
+//!   of that flush still pending resolves with `BackendPanicked`
+//!   carrying the root-cause message, and the same loop takes the next
+//!   flush. The service keeps serving.
+//! * **Distributed communication.** Every receive waits one bound,
+//!   `ClusterConfig::recv_timeout` (set with `with_timeout`). A straggler
+//!   within it is simply waited for; a peer stalled or dead past it
+//!   surfaces as `PandaError::Comm(CommError::Timeout { .. })` on
+//!   **every** rank instead of aborting the process. After an error the communicator is reusable once every rank calls
+//!   `Comm::quiesce` with a common epoch —
 //!   [`ShardedIndex`](prelude::ShardedIndex) runs that protocol
 //!   automatically across its workers after any failed round.
-//! * **Shard worker crashes.** Each shard of a
-//!   [`ShardedIndex`](prelude::ShardedIndex) runs supervised: a panic
-//!   mid-batch resolves the round with `PandaError::BackendPanicked`,
-//!   the worker restarts after a bounded exponential backoff
-//!   (`ShardedIndex::shard_restarts` counts them), and the next round
-//!   proceeds normally.
+//! * **Shard worker panics.** Each shard worker of a
+//!   [`ShardedIndex`](prelude::ShardedIndex) catches a panic mid-batch
+//!   and at once resolves the round with `PandaError::BackendPanicked`
+//!   (`ShardedIndex::shard_restarts` counts the panics caught); the
+//!   next round proceeds normally.
 //! * **Durability and crash recovery.** A mutable store opened with
 //!   [`MutableIndex::open`](prelude::MutableIndex::open) appends every
 //!   mutation to a CRC-checksummed write-ahead log *before*
@@ -368,6 +364,8 @@
 //! | `StoreConfig::default().with_compact_bytes(b)` | nothing — a fixed 1 MiB log-size trigger (`with_compact_points` still sets the point trigger) |
 //! | `<B as NnBackend>::build(&pts, &cfg)` | the backend's own constructor: `KnnIndex::build(&pts, &cfg)`, `BruteForce::new(&pts)`, `FlannLikeTree::build(&pts)`, `MutableIndex::from_points(&pts, store_cfg)`, `ShardedIndex::build(&pts, shards, &dist_cfg)` |
 //! | `QueryResponse::remote` / `breakdown` | the SPMD `query_distributed` → `DistQueryOutput::{remote, breakdown}` |
+//! | `ClusterConfig::with_retry(policy)` | `ClusterConfig::with_timeout(total wait)`: every receive waits that one bound |
+//! | `ServiceStats::scheduler_restarts` / `CommStats::recv_retries` / `CommError::Timeout { attempts }` | nothing — nothing restarts or retries |
 
 #![warn(missing_docs)]
 

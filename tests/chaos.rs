@@ -10,9 +10,8 @@
 //! instead of cross-arming each other; tests that inject nothing still
 //! arm an **empty** plan for the same exclusion.
 //!
-//! `PANDA_FAULT_SEED` (CI pins `42`) seeds the comm retry jitter so a
-//! red run replays identically. No test here relies on a timeout longer
-//! than 5 seconds.
+//! Plans are deterministic, so a red run replays identically. No test
+//! here relies on a timeout longer than 5 seconds.
 
 mod common;
 
@@ -20,18 +19,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{GatedBackend, RecordingBackend};
-use panda::comm::{run_cluster, ClusterConfig, CommError, RetryPolicy};
+use panda::comm::{run_cluster, ClusterConfig, CommError};
 use panda::core::faultpoint::{self, points, FaultAction, FaultPlan, FaultSpec};
 use panda::core::QueryConfig;
 use panda::data::{scatter, uniform};
 use panda::prelude::*;
-
-fn fault_seed() -> u64 {
-    std::env::var("PANDA_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 fn line_points(n: usize) -> PointSet {
     PointSet::from_coords(1, (0..n).map(|i| i as f32).collect()).unwrap()
@@ -235,7 +227,6 @@ fn drain_fault_degrades_one_flush_and_the_service_recovers() {
     let ok = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
     assert_eq!(ok.wait().unwrap().row(0)[0].id, 5);
     assert!(guard.hits(points::SERVICE_DRAIN) >= 2);
-    assert_eq!(service.stats().scheduler_restarts, 0, "no panic involved");
     service.shutdown();
 }
 
@@ -260,13 +251,13 @@ fn leaf_dispatch_fault_surfaces_through_the_service() {
     service.shutdown();
 }
 
-/// A panic escaping the scheduler loop (injected on the drain path,
-/// outside the per-batch backend `catch_unwind`) is absorbed by the
-/// supervisor: every in-flight ticket resolves with `BackendPanicked`,
-/// the restart is counted, and the service keeps accepting and serving
-/// work afterwards.
+/// A panic in a flush (injected on the drain path, outside the
+/// per-batch backend `catch_unwind`) is caught where it happens: every
+/// ticket of that flush resolves with `BackendPanicked` carrying the
+/// root cause, and the service keeps accepting and serving work
+/// afterwards.
 #[test]
-fn scheduler_panic_restarts_and_the_service_keeps_serving() {
+fn flush_panic_resolves_its_tickets_and_the_service_keeps_serving() {
     // the bait's flush is hit 1; the flush behind it panics
     let guard = faultpoint::arm(FaultPlan::new().panic(points::SERVICE_DRAIN, 2));
     let (gate, service) = gated_service_over(64, ServiceConfig::default());
@@ -289,21 +280,19 @@ fn scheduler_panic_restarts_and_the_service_keeps_serving() {
             other => panic!("{name}: expected BackendPanicked, got {other:?}"),
         }
     }
-    // disarm (the restarted scheduler must serve cleanly), but keep the
+    // disarm (the next flush must serve cleanly), but keep the
     // exclusion: a sibling's plan must not fire on this service
     drop(guard);
     let _guard = faultpoint::arm(FaultPlan::new());
 
     let after = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
     assert_eq!(after.wait().unwrap().row(0)[0].id, 4);
-    let stats = service.stats();
-    assert_eq!(stats.scheduler_restarts, 1);
-    service.shutdown(); // joins cleanly: the supervisor exits on stop
+    service.shutdown(); // joins cleanly: the scheduler exits on stop
 }
 
-/// Repeated scheduler panics keep being absorbed — the supervisor's
-/// backoff is bounded, restarts accumulate, and the service still ends
-/// in a healthy, shutdown-able state.
+/// Repeated flush panics are each caught — every one resolves its
+/// ticket typed, and the service still ends in a healthy,
+/// shutdown-able state.
 #[test]
 fn repeated_scheduler_panics_stay_supervised() {
     let guard = faultpoint::arm(
@@ -315,21 +304,21 @@ fn repeated_scheduler_panics_stay_supervised() {
         let t = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
         assert!(matches!(t.wait(), Err(PandaError::BackendPanicked(_))));
     }
+    assert!(guard.hits(points::SERVICE_DRAIN) >= 3);
     drop(guard);
     let _guard = faultpoint::arm(FaultPlan::new()); // disarmed, still exclusive
     let t = service.submit(&QueryRequest::knn(&q, 1)).unwrap();
     assert_eq!(t.wait().unwrap().row(0)[0].id, 3);
-    assert_eq!(service.stats().scheduler_restarts, 3);
     service.shutdown();
 }
 
-/// No lost wake-up across a restart: what sits in the queue while the
-/// supervisor backs off woke nobody (there was no scheduler to wake),
-/// so the restarted incarnation must pick it up unprompted — and the
-/// submit-then-wait traffic that follows, which puts the scheduler to
-/// sleep and wakes it again on every request, must all resolve exactly.
+/// No lost wake-up across a panicked flush: what queued behind it woke
+/// nobody (the scheduler was busy), so the scheduler must pick it up
+/// unprompted once the panic is caught — and the submit-then-wait
+/// traffic that follows, which puts the scheduler to sleep and wakes it
+/// again on every request, must all resolve exactly.
 #[test]
-fn restarted_scheduler_picks_up_the_backlog_unprompted() {
+fn backlog_behind_a_panicked_flush_is_served_unprompted() {
     const BACKLOG: usize = 20;
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 2000;
@@ -359,7 +348,7 @@ fn restarted_scheduler_picks_up_the_backlog_unprompted() {
         gate.open_gate();
         bait.wait().unwrap();
         // The doomed flush took the first `max_batch` of the backlog;
-        // the rest waits out the back-off with nobody submitting.
+        // the rest is served with nobody submitting.
         for (i, ticket) in backlog.into_iter().enumerate() {
             match (i < max_batch, common::wait(ticket)) {
                 (true, Err(PandaError::BackendPanicked(_))) => {}
@@ -367,7 +356,6 @@ fn restarted_scheduler_picks_up_the_backlog_unprompted() {
                 (_, other) => panic!("max_batch {max_batch} backlog {i}: {other:?}"),
             }
         }
-        assert_eq!(service.stats().scheduler_restarts, 1);
 
         std::thread::scope(|scope| {
             for c in 0..CLIENTS {
@@ -384,9 +372,7 @@ fn restarted_scheduler_picks_up_the_backlog_unprompted() {
                 });
             }
         });
-        let stats = service.stats();
-        assert_eq!(stats.scheduler_restarts, 1);
-        assert_eq!(stats.queue_depth, 0);
+        assert_eq!(service.stats().queue_depth, 0);
         service.shutdown();
     }
 }
@@ -395,7 +381,7 @@ fn restarted_scheduler_picks_up_the_backlog_unprompted() {
 
 /// A rank failing before the routing exchange stalls everyone else's
 /// receive — which must surface as `PandaError::Comm(Timeout)` on every
-/// waiting rank (typed, attempts counted, no process abort), and after a
+/// waiting rank (typed after one receive bound, no process abort), and after a
 /// collective `quiesce` the same communicators serve an exact query
 /// again with no leaked mailbox state.
 #[test]
@@ -408,14 +394,7 @@ fn stalled_rank_yields_typed_timeouts_and_quiesce_recovers() {
         ),
     );
     let all = uniform::generate(400, 3, 1.0, 7);
-    let cfg = ClusterConfig::new(3)
-        .with_timeout(Duration::from_millis(100))
-        .with_retry(
-            RetryPolicy::default()
-                .with_max_attempts(2)
-                .with_base_backoff(Duration::from_millis(1))
-                .with_jitter_seed(fault_seed()),
-        );
+    let cfg = ClusterConfig::new(3).with_timeout(Duration::from_millis(200));
     // Stands in for a real recovery protocol's agreement step: the
     // faulted rank errors instantly while the others are still timing
     // out, so ranks must agree "the torn exchange is over" before
@@ -436,10 +415,7 @@ fn stalled_rank_yields_typed_timeouts_and_quiesce_recovers() {
                 assert_eq!(point, points::DIST_EXCHANGE_ROUTE);
                 "injected"
             }
-            (_, Err(PandaError::Comm(CommError::Timeout { attempts, .. }))) => {
-                assert_eq!(attempts, 2, "retry policy exhausted before giving up");
-                "timeout"
-            }
+            (_, Err(PandaError::Comm(CommError::Timeout { .. }))) => "timeout",
             (r, other) => panic!("rank {r}: unexpected first outcome: {other:?}"),
         };
 
@@ -460,16 +436,12 @@ fn stalled_rank_yields_typed_timeouts_and_quiesce_recovers() {
     assert_eq!(out[0].result, "timeout");
     assert_eq!(out[1].result, "injected");
     assert_eq!(out[2].result, "timeout");
-    // the waiting ranks burned retry attempts on the stalled exchange
-    assert!(out[0].stats.recv_retries >= 1);
-    assert!(out[2].stats.recv_retries >= 1);
 }
 
-/// A straggling rank (delay shorter than retry budget × timeout) is
-/// absorbed by the receive retry: the exchange completes, results are
-/// exact, and the only trace is a nonzero retry counter.
+/// A straggling rank whose delay is within the receive bound is simply
+/// waited for: the exchange completes and results are bit-identical.
 #[test]
-fn straggler_delay_is_masked_by_receive_retry() {
+fn straggler_within_the_receive_bound_is_masked() {
     let _guard = faultpoint::arm(
         FaultPlan::new().with(
             FaultSpec::new(
@@ -485,14 +457,8 @@ fn straggler_delay_is_masked_by_receive_retry() {
         let local = KnnIndex::build(&all, &TreeConfig::default()).unwrap();
         local.query_session(&QueryRequest::knn(&all, 3)).unwrap()
     };
-    let cfg = ClusterConfig::new(3)
-        .with_timeout(Duration::from_millis(100))
-        .with_retry(
-            RetryPolicy::default()
-                .with_max_attempts(3)
-                .with_base_backoff(Duration::from_millis(1))
-                .with_jitter_seed(fault_seed()),
-        );
+    let cfg = ClusterConfig::new(3).with_timeout(Duration::from_millis(400));
+    let fired_before = faultpoint::fired(points::DIST_EXCHANGE_ROUTE);
     let out = run_cluster(&cfg, |comm| {
         let mine = scatter(&all, comm.rank(), comm.size());
         let tree = build_distributed(comm, mine, &DistConfig::default()).expect("build");
@@ -513,8 +479,8 @@ fn straggler_delay_is_masked_by_receive_retry() {
             })
             .collect::<Vec<_>>()
     });
-    let total_retries: u64 = out.iter().map(|o| o.stats.recv_retries).sum();
-    assert!(total_retries >= 1, "the stall was really absorbed by retry");
+    let fired = faultpoint::fired(points::DIST_EXCHANGE_ROUTE) - fired_before;
+    assert_eq!(fired, 1, "the straggler's delay really ran");
     for o in &out {
         for (slot, got) in &o.result {
             let want: Vec<(f32, u64)> = expect
@@ -541,14 +507,7 @@ fn late_stage_exchange_fault_is_also_typed_and_recoverable() {
         ),
     );
     let all = uniform::generate(300, 3, 1.0, 9);
-    let cfg = ClusterConfig::new(2)
-        .with_timeout(Duration::from_millis(100))
-        .with_retry(
-            RetryPolicy::default()
-                .with_max_attempts(2)
-                .with_base_backoff(Duration::from_millis(1))
-                .with_jitter_seed(fault_seed()),
-        );
+    let cfg = ClusterConfig::new(2).with_timeout(Duration::from_millis(200));
     // out-of-band recovery agreement, as in the stalled-rank test
     let torn_over = std::sync::Barrier::new(2);
     let all_quiesced = std::sync::Barrier::new(2);
@@ -579,14 +538,7 @@ fn late_stage_exchange_fault_is_also_typed_and_recoverable() {
 // ---------------------------------------------------------------- shards
 
 fn short_timeout_cluster(shards: usize) -> ClusterConfig {
-    ClusterConfig::new(shards)
-        .with_timeout(Duration::from_millis(100))
-        .with_retry(
-            RetryPolicy::default()
-                .with_max_attempts(2)
-                .with_base_backoff(Duration::from_millis(1))
-                .with_jitter_seed(fault_seed()),
-        )
+    ClusterConfig::new(shards).with_timeout(Duration::from_millis(200))
 }
 
 fn bit_rows(rows: impl Iterator<Item = impl AsRef<[Neighbor]>>) -> Vec<Vec<(u64, u32)>> {
@@ -601,8 +553,8 @@ fn bit_rows(rows: impl Iterator<Item = impl AsRef<[Neighbor]>>) -> Vec<Vec<(u64,
 
 /// A shard worker panicking mid-batch inside a service-fronted
 /// [`ShardedIndex`] surfaces as `BackendPanicked` on the affected
-/// tickets — typed, naming the shard — while the supervised worker
-/// restarts (counted in `shard_restarts`) and, once the plan disarms,
+/// tickets — typed, naming the shard — while the worker catches the
+/// panic (counted in `shard_restarts`) and, once the plan disarms,
 /// the same service serves answers bit-identical to the local engine.
 #[test]
 fn shard_panic_mid_batch_is_typed_and_the_worker_restarts() {
@@ -635,11 +587,8 @@ fn shard_panic_mid_batch_is_typed_and_the_worker_restarts() {
         }
         other => panic!("expected BackendPanicked, got {other:?}"),
     }
-    assert!(
-        sharded.shard_restarts() >= 1,
-        "the panicked worker restarted"
-    );
-    // disarm (the restarted worker must serve cleanly), but keep the
+    assert!(sharded.shard_restarts() >= 1, "the worker caught the panic");
+    // disarm (the same worker must serve cleanly), but keep the
     // exclusion: a sibling's plan must not fire on these shards
     drop(guard);
     let _guard = faultpoint::arm(FaultPlan::new());
@@ -659,7 +608,7 @@ fn shard_panic_mid_batch_is_typed_and_the_worker_restarts() {
 
 /// An injected comm timeout inside a shard worker degrades the round to
 /// `PandaError::Comm` — typed on the caller, **never a hang**, no
-/// worker restart (nothing panicked) — and the front handle's automatic
+/// panic counted (nothing panicked) — and the front handle's automatic
 /// quiesce makes the very next round exact again.
 #[test]
 fn shard_comm_timeout_is_typed_never_a_hang() {
@@ -819,7 +768,6 @@ fn disarmed_points_change_nothing() {
     let stats = service.stats();
     assert_eq!(stats.deadline_exceeded, 0);
     assert_eq!(stats.cancelled, 0);
-    assert_eq!(stats.scheduler_restarts, 0);
     assert_eq!(stats.abandoned, 0);
     service.shutdown();
 }
