@@ -149,9 +149,9 @@ where
 ///
 /// [`run_cluster`] owns the whole SPMD lifecycle: it spawns one closure
 /// per rank and tears everything down when the closures return. Long-lived
-/// owners — e.g. shard worker threads that each hold their endpoint for
-/// the lifetime of an index — need the opposite: endpoints they can move
-/// into threads they manage themselves. `Comm` is `Send`, so each element
+/// owners — e.g. shard worker threads that build an index collectively
+/// and then serve it — need the opposite: endpoints they can move into
+/// threads they manage themselves. `Comm` is `Send`, so each element
 /// of the returned vector (index = world rank) can migrate into its
 /// worker; collectives work exactly as under `run_cluster`, including the
 /// `recv_timeout` deadlock detection from `cfg`.

@@ -50,7 +50,6 @@ pub mod error;
 pub mod group;
 pub(crate) mod mailbox;
 pub mod stats;
-pub mod telemetry;
 
 pub use clock::{ClockSummary, VirtualClock};
 pub use cluster::{make_endpoints, makespan, run_cluster, total_stats, ClusterConfig, RankOutcome};
@@ -60,7 +59,6 @@ pub use cost::{log2_ceil, ComputeCosts, CostModel, MachineProfile, NetworkCosts,
 pub use error::CommError;
 pub use group::Group;
 pub use stats::CommStats;
-pub use telemetry::CommMeter;
 
 /// Convenience alias: result type used throughout the crate.
 pub type Result<T> = std::result::Result<T, CommError>;

@@ -1,103 +1,106 @@
 //! [`ShardedIndex`]: the distributed engine as a **service-grade**
-//! backend — message-passing shard workers behind a `Send + Sync` handle.
+//! backend — shard worker threads behind a `Send + Sync` handle.
 //!
-//! The predecessor (`DistIndex`, PRs 2–7) bundled "this rank's SPMD
-//! closure" state — a `&mut Comm` in a `RefCell` — into the backend, so
-//! the one scale-out engine was the one engine the `panda_service` query
-//! service could not front (`!Sync` by design, pinned in
-//! `tests/thread_safety.rs`). This module inverts the ownership model:
+//! The paper's query runs in five stages (§III-B, restated in
+//! [`crate::query_distributed`]): find the owner, local KNN, identify
+//! the remote ranks whose cells the ball `(q, r')` touches, remote KNN,
+//! and merge. The SPMD driver runs them as collectives that every rank
+//! enters in lockstep. Here the front handle runs stages 1, 3 and 5
+//! itself, and a round is two request/response passes over the shards'
+//! job channels, with no collective anywhere:
 //!
 //! * **Each shard is a long-lived worker thread** that exclusively owns
-//!   its local kd-tree, its comm endpoint (one element of
-//!   [`panda_comm::make_endpoints`]'s mesh), and its per-step scratch
-//!   (heaps, send lanes, traversal workspace). No shared mutable state,
-//!   no `RefCell`, no locks on the hot path inside a worker.
-//! * **The front handle routes and assembles.** `query` routes each
-//!   query to its owning shard via the (cheap, immutable) global tree,
-//!   scatters flat coordinate slices over channels, and the workers run
-//!   the same collective pipeline as the SPMD engine
-//!   ([`crate::query_distributed`]'s stages 2–5). The front end gathers
-//!   each shard's CSR slice and scatters rows back into one
-//!   [`NeighborTable`] in submission order — the reply channel *is* the
-//!   origin-return leg, so two of the SPMD path's four alltoallv
-//!   exchanges simply disappear.
-//! * **A worker catches its own panics**, like the service scheduler: a
-//!   panic inside a round is caught where it happens, the worker replies
-//!   at once with a typed [`PandaError::BackendPanicked`] (counted in
-//!   `shard.restarts`, the panics caught) and serves the next job, and
-//!   the front end re-synchronizes every endpoint with
-//!   [`panda_comm::Comm::quiesce`] (same epoch on every shard) before
-//!   the next round. An injected or real comm timeout inside a worker
-//!   surfaces as [`PandaError::Comm`] — never a hang — because every
-//!   collective on the worker path is the fallible (`try_*`) variant,
-//!   which waits the cluster's one `recv_timeout`.
+//!   its local kd-tree (built collectively by the SPMD
+//!   [`build_distributed`]; the comm endpoint is dropped once the build
+//!   is done) and serves one kind of job: "k-NN for these `(q, r²)`".
+//!   It runs the job through the local batch engine of [`KnnIndex`] on
+//!   its own thread (locality order per [`crate::morton`], one row per
+//!   query in job order) and answers on the reply channel the job
+//!   carries.
+//! * **Owner pass.** The front routes each query to the shard whose cell
+//!   holds it and sends each owning shard one job with its slice, bounded
+//!   by the request's `r0²` (`+∞` without a radius); the shard returns its
+//!   local top-k rows.
+//! * **Remote pass.** From each row the front takes `r'²` — the k-th
+//!   distance when the row is full, else `r0²` — asks the global tree
+//!   which other shards the ball touches, and sends `(q, r'²)` to those
+//!   shards only. A shard with nothing to do gets no job
+//!   (`shard.messages` counts the jobs sent).
+//! * **Merge.** Candidates enter a [`KnnHeap`] reset to `(k, r0²)` in the
+//!   SPMD engine's order: the owner's row, then each remote shard in
+//!   ascending rank. A query no other shard was asked about keeps its
+//!   owner's row as is.
 //!
-//! Because results are bit-for-bit identical to the single-shard local
-//! engine (same kernels, same merge order — pinned by tests here and in
-//! `tests/dist_order_parity.rs`), a service can front a sharded cluster
+//! Results are bit-for-bit identical to the single-shard local engine and
+//! [`QueryCounters`] equal the SPMD engine's summed over ranks (pinned by
+//! tests here, in `tests/dist_order_parity.rs` and in
+//! `tests/backend_parity.rs`), so a service can front a sharded cluster
 //! and still promise exactness.
 //!
-//! Rounds are serialized by a dispatch mutex: one query round's
-//! collectives must fully drain before the next begins, or the shards'
-//! collective sequence numbers would interleave. Concurrency comes from
-//! the layer above (the service's micro-batcher), parallelism from
-//! within the round (shards work their slices concurrently).
+//! Rounds share no state — each creates its own reply channel — so
+//! rounds from several callers overlap freely. The front waits at most
+//! [`ClusterConfig::recv_timeout`] per pass: a shard that has not
+//! answered by then fails the round with [`PandaError::Comm`], never a
+//! hang, and its late reply goes nowhere. A worker catches a panic
+//! inside a job where it happens and replies at once with a typed
+//! [`PandaError::BackendPanicked`] (counted in `shard.restarts`); a
+//! worker whose reply finds its round gone keeps serving. Since no shard
+//! waits on another, the first error a round receives is its root cause.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use panda_comm::{make_endpoints, ClusterConfig, Comm, CommMeter};
+use panda_comm::{make_endpoints, ClusterConfig, Comm, CommError};
 use panda_obs::trace::{self, Stage};
 use panda_obs::{Counter, Registry, TraceId};
 
-use crate::build_distributed::{build_distributed, DistKdTree};
-use crate::config::{DistConfig, QueryConfig};
+use crate::build_distributed::build_distributed;
+use crate::config::{DistConfig, QueryOrder};
 use crate::counters::QueryCounters;
 use crate::engine::{NeighborTable, NnBackend, QueryRequest, QueryResponse};
 use crate::error::{PandaError, Result};
 use crate::faultpoint::{self, points};
 use crate::global_tree::GlobalKdTree;
+use crate::heap::KnnHeap;
+use crate::knn::KnnIndex;
 use crate::point::PointSet;
-use crate::query_distributed::{owned_pipeline, Owned, OwnedOutput};
 use crate::supervise::panic_message;
 
-/// One unit of work shipped to a shard worker. Every round sends one job
-/// to **every** shard — the KNN pipeline is collective, so a shard with
-/// zero routed queries still has to enter the allreduce/alltoallv steps.
-enum ShardJob {
-    /// Stages 2–5 of the distributed KNN pipeline for the routed slice.
-    Knn {
-        coords: Vec<f32>,
-        qids: Vec<u64>,
-        cfg: Box<QueryConfig>,
-        trace: TraceId,
-    },
-    /// Reset the comm endpoint after a torn round; ack with
-    /// [`ShardReply::Quiesced`].
-    Quiesce { epoch: u64 },
-    /// Exit the worker loop.
-    Shutdown,
+/// "k-NN for these `(q, r²)`": the one job both passes send.
+struct KnnJob {
+    asks: Asks,
+    k: usize,
+    order: QueryOrder,
+    trace: TraceId,
+    /// The round's reply channel; the shard tags its rows with its rank.
+    reply: Sender<(usize, Result<ShardRows>)>,
 }
 
-// One reply per shard per round: moving the inline output through the
-// channel is cheaper than boxing it.
-#[allow(clippy::large_enum_variant)]
-enum ShardReply {
-    Knn(Result<OwnedOutput>),
-    Quiesced,
+/// One shard's answer to a [`KnnJob`]: a sorted row per query, in job
+/// order, and the work it took.
+type ShardRows = (NeighborTable, QueryCounters);
+
+/// What one pass asks one shard: the queries, each with its squared
+/// search bound.
+struct Asks {
+    queries: PointSet,
+    bounds_sq: Vec<f32>,
 }
 
-/// The serialized dispatch state: senders into every worker plus the one
-/// shared reply channel. Guarded by a mutex because a round's collectives
-/// must not interleave with another round's.
-struct Dispatch {
-    job_tx: Vec<Sender<ShardJob>>,
-    reply_rx: Receiver<ShardReply>,
-    /// Quiesce epoch, bumped once per failed round.
-    epoch: u64,
+impl Asks {
+    fn new(dims: usize) -> Result<Self> {
+        Ok(Self {
+            queries: PointSet::new(dims)?,
+            bounds_sq: Vec::new(),
+        })
+    }
+
+    fn push(&mut self, q: &[f32], bound_sq: f32) {
+        self.queries.push(q, self.bounds_sq.len() as u64);
+        self.bounds_sq.push(bound_sq);
+    }
 }
 
 /// A distributed kd-tree cluster behind one thread-safe handle.
@@ -119,42 +122,27 @@ struct Dispatch {
 /// # Ok::<(), panda_core::PandaError>(())
 /// ```
 pub struct ShardedIndex {
-    /// Clone of the global BSP tree, used by the front end for routing.
+    /// Clone of the global BSP tree, used by the front end for routing
+    /// and for finding the shards a ball touches.
     global: GlobalKdTree,
     dims: usize,
     len: usize,
-    n_shards: usize,
-    dispatch: Mutex<Dispatch>,
-    /// Shared metrics plane: `shard.*` counters plus the workers'
-    /// `comm.*` traffic totals (see [`NnBackend::registry`]).
+    /// One job channel per shard worker; dropping them ends the workers.
+    job_tx: Vec<Sender<KnnJob>>,
+    /// How long one pass waits for its replies.
+    recv_timeout: Duration,
+    /// Shared metrics plane: the `shard.*` counters (see
+    /// [`NnBackend::registry`]).
     registry: Registry,
     restarts: Counter,
     rounds: Counter,
     queries_total: Counter,
+    messages: Counter,
     workers: Vec<JoinHandle<()>>,
-}
-
-fn lock_dispatch(index: &ShardedIndex) -> MutexGuard<'_, Dispatch> {
-    index
-        .dispatch
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
 }
 
 fn shard_gone() -> PandaError {
     PandaError::BackendPanicked("shard worker disconnected".into())
-}
-
-/// Among the errors of a torn round, prefer a root cause over a symptom:
-/// a panic or injected fault on one shard makes its *peers* time out in
-/// the collectives, so `Comm` errors are reported only when nothing more
-/// specific exists.
-fn pick_root_cause(mut errs: Vec<PandaError>) -> PandaError {
-    let root = errs
-        .iter()
-        .position(|e| !matches!(e, PandaError::Comm(_)))
-        .unwrap_or(0);
-    errs.swap_remove(root)
 }
 
 impl ShardedIndex {
@@ -167,10 +155,11 @@ impl ShardedIndex {
     }
 
     /// [`ShardedIndex::build`] with an explicit [`ClusterConfig`]:
-    /// `cluster.ranks` is the shard count, and its cost model and receive
-    /// timeout govern the workers' comm endpoints —
-    /// chaos tests shorten the timeout so injected stalls surface as
-    /// typed errors in milliseconds rather than minutes.
+    /// `cluster.ranks` is the shard count, its cost model and receive
+    /// timeout govern the collective build, and the same timeout bounds
+    /// each pass of a query round — chaos tests shorten it so injected
+    /// stalls surface as typed errors in milliseconds rather than
+    /// minutes.
     pub fn build_with_cluster(
         points: &PointSet,
         cfg: &DistConfig,
@@ -184,17 +173,13 @@ impl ShardedIndex {
         points.validate()?;
         let shards = cluster.ranks;
         let dims = points.dims();
-        let endpoints = make_endpoints(cluster);
-        let (reply_tx, reply_rx) = channel::<ShardReply>();
-        let (init_tx, init_rx) = channel::<(usize, Result<Option<GlobalKdTree>>)>();
+        let (init_tx, init_rx) = channel::<Result<Option<GlobalKdTree>>>();
         let registry = Registry::new();
         let restarts = registry.counter("shard.restarts");
-        let rounds = registry.counter("shard.rounds");
-        let queries_total = registry.counter("shard.queries");
         let mut job_tx = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
-        for (shard, comm) in endpoints.into_iter().enumerate() {
-            let (tx, rx) = channel::<ShardJob>();
+        for (shard, comm) in make_endpoints(cluster).into_iter().enumerate() {
+            let (tx, rx) = channel::<KnnJob>();
             job_tx.push(tx);
             let mut mine = PointSet::new(dims)?;
             for i in (shard..points.len()).step_by(shards) {
@@ -202,75 +187,45 @@ impl ShardedIndex {
             }
             let cfg = *cfg;
             let init_tx = init_tx.clone();
-            let reply_tx = reply_tx.clone();
             let restarts = restarts.clone();
-            let meter = CommMeter::new(&registry);
             let handle = std::thread::Builder::new()
                 .name(format!("panda-shard-{shard}"))
                 .stack_size(8 << 20)
-                .spawn(move || {
-                    worker_entry(
-                        comm, mine, cfg, shard, rx, reply_tx, init_tx, restarts, meter,
-                    );
-                })
+                .spawn(move || worker_entry(comm, mine, cfg, shard, rx, init_tx, restarts))
                 .map_err(|e| PandaError::BadConfig(format!("spawn shard worker: {e}")))?;
             workers.push(handle);
         }
         drop(init_tx);
         // The collective build either succeeds on every shard or fails on
         // every shard; keep the first error as the representative one.
-        let mut global: Option<GlobalKdTree> = None;
-        let mut first_err: Option<PandaError> = None;
-        for _ in 0..shards {
-            match init_rx.recv() {
-                Ok((_, Ok(g))) => {
-                    if g.is_some() {
-                        global = g;
-                    }
+        let global = match init_rx.iter().collect::<Result<Vec<_>>>() {
+            Ok(trees) if trees.len() == shards => trees.into_iter().flatten().next(),
+            failed => {
+                drop(job_tx);
+                for h in workers {
+                    let _ = h.join();
                 }
-                Ok((_, Err(e))) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                Err(_) => {
-                    if first_err.is_none() {
-                        first_err = Some(shard_gone());
-                    }
-                }
+                return Err(failed.err().unwrap_or_else(shard_gone));
             }
-        }
-        if let Some(e) = first_err {
-            for tx in &job_tx {
-                let _ = tx.send(ShardJob::Shutdown);
-            }
-            for h in workers {
-                let _ = h.join();
-            }
-            return Err(e);
-        }
-        let global = global.expect("shard 0 publishes the global tree");
+        };
         Ok(Self {
-            global,
+            global: global.expect("shard 0 publishes the global tree"),
             dims,
             len: points.len(),
-            n_shards: shards,
-            dispatch: Mutex::new(Dispatch {
-                job_tx,
-                reply_rx,
-                epoch: 0,
-            }),
+            job_tx,
+            recv_timeout: cluster.recv_timeout,
+            rounds: registry.counter("shard.rounds"),
+            queries_total: registry.counter("shard.queries"),
+            messages: registry.counter("shard.messages"),
             registry,
             restarts,
-            rounds,
-            queries_total,
             workers,
         })
     }
 
     /// Number of shard worker threads.
     pub fn shards(&self) -> usize {
-        self.n_shards
+        self.job_tx.len()
     }
 
     /// The global BSP tree used for routing (rank regions, bboxes).
@@ -285,87 +240,61 @@ impl ShardedIndex {
         self.restarts.get()
     }
 
-    /// One serialized KNN round: scatter the routed slices, gather every
-    /// shard's output, and on any failure re-synchronize the mesh before
-    /// surfacing the root cause.
-    fn run_knn_round(
+    /// One pass: send one job to every shard with something to ask, then
+    /// wait at most `recv_timeout` for all of their rows. A shard asked
+    /// nothing answers with empty rows.
+    fn pass(
         &self,
-        coords: Vec<Vec<f32>>,
-        qids: Vec<Vec<u64>>,
-        cfg: &QueryConfig,
+        asks: Vec<Asks>,
+        k: usize,
+        order: QueryOrder,
         trace_id: TraceId,
-        scatter_start: Instant,
-    ) -> Result<Vec<OwnedOutput>> {
-        let mut d = lock_dispatch(self);
-        for (shard, (c, q)) in coords.into_iter().zip(qids).enumerate() {
-            d.job_tx[shard]
-                .send(ShardJob::Knn {
-                    coords: c,
-                    qids: q,
-                    cfg: Box::new(*cfg),
-                    trace: trace_id,
-                })
-                .map_err(|_| shard_gone())?;
+    ) -> Result<Vec<ShardRows>> {
+        let (reply, replies) = channel();
+        let mut waiting = Vec::new();
+        for (shard, ask) in asks.into_iter().enumerate() {
+            if ask.bounds_sq.is_empty() {
+                continue;
+            }
+            let job = KnnJob {
+                asks: ask,
+                k,
+                order,
+                trace: trace_id,
+                reply: reply.clone(),
+            };
+            self.job_tx[shard].send(job).map_err(|_| shard_gone())?;
+            self.messages.inc();
+            waiting.push(shard);
         }
-        // Scatter = routing + job fan-out; gather starts once the last
-        // job is on its channel.
-        trace::record(trace_id, Stage::Scatter, scatter_start);
-        let gather_start = Instant::now();
-        let mut outs = Vec::with_capacity(self.n_shards);
-        let mut errs = Vec::new();
-        while outs.len() + errs.len() < self.n_shards {
-            match d.reply_rx.recv() {
-                Ok(ShardReply::Knn(Ok(o))) => outs.push(o),
-                Ok(ShardReply::Knn(Err(e))) => errs.push(e),
-                // A late ack of a quiesce that gave up on a dead shard;
-                // drain and ignore it, as `quiesce_locked` does with
-                // straggler round replies.
-                Ok(ShardReply::Quiesced) => {}
-                Err(_) => return Err(shard_gone()),
+        drop(reply);
+        let deadline = Instant::now() + self.recv_timeout;
+        let mut rows: Vec<ShardRows> = (0..self.shards()).map(|_| ShardRows::default()).collect();
+        while !waiting.is_empty() {
+            match replies.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok((shard, answer)) => {
+                    rows[shard] = answer?;
+                    waiting.retain(|&s| s != shard);
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    let shard = waiting[0];
+                    return Err(PandaError::Comm(CommError::Timeout {
+                        rank: shard,
+                        src: shard,
+                        tag: 0,
+                    }));
+                }
+                Err(RecvTimeoutError::Disconnected) => return Err(shard_gone()),
             }
         }
-        if !errs.is_empty() {
-            // The round is torn: some shards may have consumed peer
-            // payloads before the failure. Re-synchronize every endpoint
-            // under the same epoch before the next round.
-            self.quiesce_locked(&mut d)?;
-            return Err(pick_root_cause(errs));
-        }
-        trace::record(trace_id, Stage::Gather, gather_start);
-        Ok(outs)
-    }
-
-    /// Drive every endpoint through [`Comm::quiesce`] with a fresh epoch
-    /// and wait for all acks, holding the dispatch lock throughout.
-    fn quiesce_locked(&self, d: &mut Dispatch) -> Result<()> {
-        d.epoch += 1;
-        let epoch = d.epoch;
-        for tx in &d.job_tx {
-            tx.send(ShardJob::Quiesce { epoch })
-                .map_err(|_| shard_gone())?;
-        }
-        let mut acks = 0;
-        while acks < self.n_shards {
-            match d.reply_rx.recv() {
-                Ok(ShardReply::Quiesced) => acks += 1,
-                // A straggler's reply from the torn round can still be in
-                // flight; drain and ignore it.
-                Ok(_) => {}
-                Err(_) => return Err(shard_gone()),
-            }
-        }
-        Ok(())
+        Ok(rows)
     }
 }
 
 impl Drop for ShardedIndex {
     fn drop(&mut self) {
-        {
-            let d = lock_dispatch(self);
-            for tx in &d.job_tx {
-                let _ = tx.send(ShardJob::Shutdown);
-            }
-        }
+        // Closing the job channels ends every worker loop.
+        self.job_tx.clear();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -375,7 +304,7 @@ impl Drop for ShardedIndex {
 impl std::fmt::Debug for ShardedIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedIndex")
-            .field("shards", &self.n_shards)
+            .field("shards", &self.shards())
             .field("len", &self.len)
             .field("dims", &self.dims)
             .field("restarts", &self.shard_restarts())
@@ -394,12 +323,6 @@ impl NnBackend for ShardedIndex {
                 got: queries.dims(),
             });
         }
-        let cfg = QueryConfig {
-            k: req.k(),
-            initial_radius: req.radius().unwrap_or(f32::INFINITY),
-            order: req.order(),
-            ..QueryConfig::default()
-        };
         let n = queries.len();
         let mut counters = QueryCounters::default();
         if n == 0 {
@@ -411,40 +334,92 @@ impl NnBackend for ShardedIndex {
         }
         self.rounds.inc();
         self.queries_total.add(n as u64);
-        // Front-end routing: the same stage-1 ownership decision as the
-        // SPMD engine, but the "exchange" is the scatter over channels.
-        let scatter_start = Instant::now();
-        let mut coords: Vec<Vec<f32>> = vec![Vec::new(); self.n_shards];
-        let mut qids: Vec<Vec<u64>> = vec![Vec::new(); self.n_shards];
+        let p = self.shards();
+        let (k, order, trace_id) = (req.k(), req.order(), req.trace());
+        let r0_sq = req.radius_sq();
+
+        // (1) find owner: `route[i]` is query i's owner and its place in
+        // the owner's job.
+        let mut route = Vec::with_capacity(n);
+        let mut asks = (0..p)
+            .map(|_| Asks::new(self.dims))
+            .collect::<Result<Vec<_>>>()?;
         for i in 0..n {
             let q = queries.point(i);
             let owner = self.global.owner(q, &mut counters);
-            coords[owner].extend_from_slice(q);
-            qids[owner].push(i as u64);
+            route.push((owner, asks[owner].bounds_sq.len()));
+            asks[owner].push(q, r0_sq);
         }
-        let outs = self.run_knn_round(coords, qids, &cfg, req.trace(), scatter_start)?;
+        trace::record(trace_id, Stage::Scatter, t0);
+        let gather_start = Instant::now();
+        // (2) local KNN on the owners
+        let owned = self.pass(asks, k, order, trace_id)?;
 
-        // Gather: scatter each shard's CSR slice back to submission order.
-        let mut row_counts = vec![0u32; n];
-        for out in &outs {
-            debug_assert_eq!(out.qids.len(), out.counts.len());
-            for (&qid, &cnt) in out.qids.iter().zip(&out.counts) {
-                row_counts[qid as usize] = cnt;
+        // (3) identify remote shards from each owner row's bound; each
+        // shard's `asked` list comes out in submission order
+        let mut asks = (0..p)
+            .map(|_| Asks::new(self.dims))
+            .collect::<Result<Vec<_>>>()?;
+        let mut asked: Vec<Vec<usize>> = vec![Vec::new(); p];
+        let mut touched = Vec::new();
+        for (i, &(owner, slot)) in route.iter().enumerate() {
+            let q = queries.point(i);
+            let row = owned[owner].0.row(slot);
+            let r_sq = if row.len() == k {
+                row[k - 1].dist_sq
+            } else {
+                r0_sq
+            };
+            touched.clear();
+            self.global
+                .ranks_in_ball(q, r_sq, &mut touched, &mut counters);
+            for &shard in touched.iter().filter(|&&s| s != owner) {
+                asks[shard].push(q, r_sq);
+                asked[shard].push(i);
             }
         }
-        let mut table = NeighborTable::with_row_counts(&row_counts)?;
-        for out in outs {
-            let mut cur = 0usize;
-            for (&qid, &cnt) in out.qids.iter().zip(&out.counts) {
-                let cnt = cnt as usize;
-                table
-                    .row_mut(qid as usize)
-                    .copy_from_slice(&out.arena[cur..cur + cnt]);
-                cur += cnt;
+        // (4) remote KNN, bounded by r'²
+        let remote = self.pass(asks, k, order, trace_id)?;
+
+        // (5) merge in the SPMD order: the owner's row, then each remote
+        // shard by ascending rank. `next[s]` walks shard s's `asked` list.
+        let mut next = vec![0usize; p];
+        let mut heap = KnnHeap::new(k);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut arena = Vec::with_capacity(owned.iter().map(|o| o.0.total_neighbors()).sum());
+        for (i, &(owner, slot)) in route.iter().enumerate() {
+            let own = owned[owner].0.row(slot);
+            let mut merging = false;
+            for shard in 0..p {
+                if asked[shard].get(next[shard]) != Some(&i) {
+                    continue;
+                }
+                if !merging {
+                    heap.reset(k, r0_sq);
+                    for nb in own {
+                        heap.offer(nb.dist_sq, nb.id);
+                    }
+                    merging = true;
+                }
+                for nb in remote[shard].0.row(next[shard]) {
+                    counters.merge_candidates += 1;
+                    heap.offer(nb.dist_sq, nb.id);
+                }
+                next[shard] += 1;
             }
-            debug_assert_eq!(cur, out.arena.len());
-            counters.add(&out.counters);
+            if merging {
+                heap.append_sorted_into(&mut arena);
+            } else {
+                arena.extend_from_slice(own);
+            }
+            offsets.push(arena.len() as u32);
         }
+        for (_, work) in owned.iter().chain(&remote) {
+            counters.add(work);
+        }
+        let table = NeighborTable::from_parts(offsets, arena)?;
+        trace::record(trace_id, Stage::Gather, gather_start);
         Ok(QueryResponse::local(
             table,
             counters,
@@ -470,103 +445,72 @@ impl NnBackend for ShardedIndex {
 }
 
 /// Worker thread body: collective build, publish the init result, then
-/// serve jobs until shutdown.
-#[allow(clippy::too_many_arguments)] // spawn-time wiring, called once
+/// serve jobs until the front handle closes the job channel.
 fn worker_entry(
     mut comm: Comm,
     mine: PointSet,
     cfg: DistConfig,
     shard: usize,
-    job_rx: Receiver<ShardJob>,
-    reply_tx: Sender<ShardReply>,
-    init_tx: Sender<(usize, Result<Option<GlobalKdTree>>)>,
+    jobs: Receiver<KnnJob>,
+    init_tx: Sender<Result<Option<GlobalKdTree>>>,
     restarts: Counter,
-    meter: CommMeter,
 ) {
     // The collective build either works everywhere or panics/errs
-    // everywhere (a dead peer surfaces as a timeout panic here).
+    // everywhere (a dead peer surfaces as a timeout panic here). Rounds
+    // need no collectives, so the endpoint goes with it.
     let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
         build_distributed(&mut comm, mine, &cfg)
     }));
-    let tree = match built {
+    drop(comm);
+    let index = match built {
         Ok(Ok(tree)) => {
             // Shard 0 publishes the routing tree (identical on every
             // shard — the build is deterministic and collective).
-            let g = (shard == 0).then(|| tree.global.clone());
-            let _ = init_tx.send((shard, Ok(g)));
-            tree
+            let _ = init_tx.send(Ok((shard == 0).then(|| tree.global.clone())));
+            KnnIndex { tree: tree.local }
         }
         Ok(Err(e)) => {
-            let _ = init_tx.send((shard, Err(e)));
+            let _ = init_tx.send(Err(e));
             return;
         }
         Err(panic) => {
-            let _ = init_tx.send((
-                shard,
-                Err(PandaError::BackendPanicked(format!(
-                    "shard {shard} build: {}",
-                    panic_message(panic.as_ref())
-                ))),
-            ));
+            let _ = init_tx.send(Err(PandaError::BackendPanicked(format!(
+                "shard {shard} build: {}",
+                panic_message(panic.as_ref())
+            ))));
             return;
         }
     };
     drop(init_tx);
-    worker_loop(
-        &mut comm, &tree, shard, &job_rx, &reply_tx, &restarts, meter,
-    );
-}
-
-/// Serve jobs forever. A panic inside a job is caught where it happens:
-/// the round resolves at once with a typed error, the panic counter
-/// advances, and the worker takes the next job.
-#[allow(clippy::too_many_arguments)] // spawn-time wiring, called once
-fn worker_loop(
-    comm: &mut Comm,
-    tree: &DistKdTree,
-    shard: usize,
-    job_rx: &Receiver<ShardJob>,
-    reply_tx: &Sender<ShardReply>,
-    restarts: &Counter,
-    mut meter: CommMeter,
-) {
-    loop {
-        let job = match job_rx.recv() {
-            Ok(job) => job,
-            Err(_) => return, // front handle dropped
-        };
-        let body = match job {
-            ShardJob::Shutdown => return,
-            ShardJob::Quiesce { epoch } => {
-                comm.quiesce(epoch);
-                meter.publish(&comm.stats());
-                ShardReply::Quiesced
-            }
-            ShardJob::Knn {
-                coords,
-                qids,
-                cfg,
-                trace: trace_id,
-            } => {
-                let t0 = Instant::now();
-                let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    faultpoint::maybe_fail_ctx(points::SHARD_WORKER_QUERY, shard as u64)?;
-                    owned_pipeline(comm, tree, Owned { coords, qids }, &cfg)
-                }));
-                trace::record(trace_id, Stage::ShardWorker, t0);
-                meter.publish(&comm.stats());
-                ShardReply::Knn(res.unwrap_or_else(|panic| {
-                    restarts.inc();
-                    Err(PandaError::BackendPanicked(format!(
-                        "shard {shard} panicked mid-batch: {}",
-                        panic_message(panic.as_ref())
-                    )))
-                }))
-            }
-        };
-        if reply_tx.send(body).is_err() {
-            return; // front handle dropped mid-round
-        }
+    // A panic inside a job is caught where it happens: the job resolves
+    // at once with a typed error, the panic counter advances, and the
+    // worker takes the next job.
+    for job in jobs {
+        let t0 = Instant::now();
+        let answer = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            faultpoint::maybe_fail_ctx(points::SHARD_WORKER_QUERY, shard as u64)?;
+            // the local batch engine, on this thread, each query from its
+            // own bound
+            let bounds_sq = &job.asks.bounds_sq;
+            index.batch_csr(
+                &job.asks.queries,
+                job.k,
+                |i| bounds_sq[i],
+                job.order,
+                false,
+                |_| true,
+            )
+        }));
+        trace::record(job.trace, Stage::ShardWorker, t0);
+        let answer = answer.unwrap_or_else(|panic| {
+            restarts.inc();
+            Err(PandaError::BackendPanicked(format!(
+                "shard {shard} panicked mid-batch: {}",
+                panic_message(panic.as_ref())
+            )))
+        });
+        // A round that gave up has dropped its receiver; keep serving.
+        let _ = job.reply.send((shard, answer));
     }
 }
 
@@ -574,7 +518,6 @@ fn worker_loop(
 mod tests {
     use super::*;
     use crate::config::TreeConfig;
-    use crate::knn::KnnIndex;
     use crate::rng::SplitRng;
 
     fn random_ps(n: usize, dims: usize, seed: u64) -> PointSet {
@@ -627,9 +570,14 @@ mod tests {
         assert_eq!(snap.counter("shard.rounds"), Some(2));
         assert_eq!(snap.counter("shard.queries"), Some(48));
         assert_eq!(snap.counter("shard.restarts"), Some(0));
+        // at least the owners' jobs, at most an owner and a remote job
+        // per shard per round
+        let messages = snap.counter("shard.messages").unwrap();
+        assert!((2..=8).contains(&messages), "{messages} jobs: {snap:?}");
+        // rounds move no data through collectives, so no `comm.*` cell
         assert!(
-            snap.counter("comm.collectives").unwrap_or(0) > 0,
-            "workers published collective traffic: {snap:?}"
+            snap.iter().all(|(name, _)| !name.starts_with("comm.")),
+            "{snap:?}"
         );
     }
 

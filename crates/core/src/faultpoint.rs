@@ -49,10 +49,12 @@ pub mod points {
     pub const DIST_EXCHANGE_RESPONSES: &str = "dist.exchange.responses";
     /// Origin-return exchange (pipeline epilogue).
     pub const DIST_EXCHANGE_RETURN: &str = "dist.exchange.return";
-    /// Local engine batch execution (leaf kernel dispatch).
+    /// Local engine batch execution (leaf kernel dispatch), also inside
+    /// every shard job.
     pub const ENGINE_LEAF_DISPATCH: &str = "engine.leaf_dispatch";
-    /// Shard worker, start of a KNN job (context = shard id). Fires on
-    /// the worker thread, before the collective pipeline is entered.
+    /// Shard worker, start of a KNN job — an owner-pass or a
+    /// remote-pass job (context = shard id). Fires on the worker thread,
+    /// before any traversal.
     pub const SHARD_WORKER_QUERY: &str = "shard.worker.query";
     /// Query-service micro-batch drain/execute path.
     pub const SERVICE_DRAIN: &str = "service.drain";

@@ -82,7 +82,7 @@ fn permute_rows_to_input_order(
 /// A single-node KNN index.
 #[derive(Clone, Debug)]
 pub struct KnnIndex {
-    tree: LocalKdTree,
+    pub(crate) tree: LocalKdTree,
 }
 
 impl KnnIndex {
@@ -149,10 +149,11 @@ impl KnnIndex {
     ) -> Result<QueryResponse> {
         let t0 = std::time::Instant::now();
         req.validate()?;
+        let radius_sq = req.radius_sq();
         let (neighbors, counters) = self.batch_csr(
             req.queries(),
             req.k(),
-            req.radius_sq(),
+            |_| radius_sq,
             req.order(),
             req.parallel() != Some(false),
             live,
@@ -165,8 +166,10 @@ impl KnnIndex {
         ))
     }
 
-    /// The CSR batch engine behind [`Self::query_session_filtered`],
-    /// traversing with the exact bound over the points `live` accepts.
+    /// The CSR batch engine behind [`Self::query_session_filtered`] and
+    /// the shard workers of [`crate::engine::ShardedIndex`], traversing
+    /// with the exact bound over the points `live` accepts. Query `i`
+    /// starts from the squared search bound `bound_sq(i)`.
     /// The execution order affects locality only, and the split into
     /// blocks affects which thread runs a query only: results and
     /// aggregate counters are identical for any order and any split (each
@@ -183,15 +186,19 @@ impl KnnIndex {
     /// front. Rows that come back shorter (radius limit, `live` filter)
     /// are closed up by one forward pass; a batch of full rows, the
     /// common fixed-k case, is handed over without a copy.
-    pub(crate) fn batch_csr<F: Fn(u64) -> bool + Copy + Sync>(
+    pub(crate) fn batch_csr<B, F>(
         &self,
         queries: &PointSet,
         k: usize,
-        radius_sq: f32,
+        bound_sq: B,
         order: QueryOrder,
         pool: bool,
         live: F,
-    ) -> Result<(NeighborTable, QueryCounters)> {
+    ) -> Result<(NeighborTable, QueryCounters)>
+    where
+        B: Fn(usize) -> f32 + Copy + Sync,
+        F: Fn(u64) -> bool + Copy + Sync,
+    {
         if k == 0 {
             return Err(PandaError::ZeroK);
         }
@@ -236,7 +243,7 @@ impl KnnIndex {
             for (i, (row, len)) in rows.chunks_mut(cap).zip(lens).enumerate() {
                 let j = b * block + i;
                 let qi = schedule.as_ref().map_or(j, |s| s[j] as usize);
-                heap.reset(k, radius_sq);
+                heap.reset(k, bound_sq(qi));
                 self.tree.query_into_filtered(
                     queries.point(qi),
                     &mut heap,
@@ -312,7 +319,7 @@ impl KnnIndex {
         let (table, _counters) = self.batch_csr(
             points,
             k + 1,
-            f32::INFINITY,
+            |_| f32::INFINITY,
             QueryOrder::default(),
             true,
             |_| true,

@@ -16,7 +16,8 @@
 //!   [`engine::NnBackend`]).
 //! * Distributed usage: [`engine::ShardedIndex`], same trait — a
 //!   `Send + Sync` front handle over long-lived shard worker threads,
-//!   each owning its local tree and `panda-comm` endpoint. SPMD callers
+//!   each owning its local tree (built collectively over `panda-comm`;
+//!   query rounds run no collectives). SPMD callers
 //!   (virtual-time scaling studies) drive
 //!   [`build_distributed::build_distributed`] +
 //!   [`query_distributed::query_distributed`] directly under

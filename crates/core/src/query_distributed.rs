@@ -160,52 +160,9 @@ fn qid_idx(q: u64) -> usize {
     (q & QID_IDX_MASK) as usize
 }
 
-/// Owned queries after routing: flat coords + opaque qids.
-///
-/// The pipeline never interprets qids — they ride along the (possibly
-/// Morton-permuted) processing order and come back in
-/// [`OwnedOutput::qids`]. The SPMD path packs `(origin rank, submission
-/// index)` into them; the sharded front-end passes plain submission
-/// indices.
-pub(crate) struct Owned {
-    pub(crate) coords: Vec<f32>,
-    pub(crate) qids: Vec<u64>,
-}
-
-impl Owned {
-    pub(crate) fn len(&self) -> usize {
-        self.qids.len()
-    }
-
-    fn point(&self, i: usize, dims: usize) -> &[f32] {
-        &self.coords[i * dims..(i + 1) * dims]
-    }
-
-    /// Re-sort the owned queries along a Morton curve so consecutive
-    /// queries (and therefore each pipeline batch) are spatially
-    /// coherent — unless they already are, or there are fewer than two
-    /// (the rule in [`crate::morton`]). Results are keyed by qid, so the
-    /// permutation is invisible to callers — submission order is restored
-    /// when results return to their origins.
-    fn reorder_morton(&mut self, dims: usize) {
-        let Some(schedule) = locality_schedule(dims, &self.coords) else {
-            return;
-        };
-        let mut coords = Vec::with_capacity(self.coords.len());
-        let mut qids = Vec::with_capacity(self.qids.len());
-        for &s in &schedule {
-            let s = s as usize;
-            coords.extend_from_slice(&self.coords[s * dims..(s + 1) * dims]);
-            qids.push(self.qids[s]);
-        }
-        self.coords = coords;
-        self.qids = qids;
-    }
-}
-
-/// CSR-native result of [`query_distributed`]: what callers (the SPMD
-/// benches, the shard workers' front-end) wrap into a `QueryResponse`
-/// without any nested intermediate.
+/// CSR-native result of [`query_distributed`]: what SPMD callers (the
+/// paper binaries, the virtual-time scaling studies) read, without any
+/// nested intermediate.
 #[derive(Debug)]
 pub struct DistQueryOutput {
     /// Results in submission order, CSR layout.
@@ -218,37 +175,37 @@ pub struct DistQueryOutput {
     pub remote: RemoteStats,
 }
 
-/// Result of [`owned_pipeline`]: finalized top-k for the queries this
-/// rank owns, CSR-style in **processing** order (`qids[i]` names the
-/// query whose `counts[i]` neighbors sit next in `arena`). The caller —
-/// the SPMD return leg, or the sharded front-end's gather — scatters rows
-/// back to submission order.
-pub(crate) struct OwnedOutput {
-    pub(crate) qids: Vec<u64>,
-    pub(crate) counts: Vec<u32>,
-    pub(crate) arena: Vec<Neighbor>,
-    pub(crate) breakdown: QueryBreakdown,
-    pub(crate) counters: QueryCounters,
-    pub(crate) remote: RemoteStats,
-}
-
-/// Stages 2–5 for the queries this rank owns: local KNN, identify remote
-/// ranks, remote KNN, merge — the batched collective pipeline that every
-/// rank of the communicator must enter in lockstep (even with zero owned
-/// queries; the step count is agreed by allreduce).
+/// The SPMD engine: every rank passes its own `queries`; results come
+/// back in the same order. `tree` must be the product of
+/// [`crate::build_distributed::build_distributed`] on the same cluster.
 ///
-/// This is the per-shard step of the engine: under the SPMD driver it is
-/// called by [`query_distributed`] between the routing exchange and the
-/// origin-return leg; under [`crate::engine::ShardedIndex`] it runs
-/// inside each shard worker thread, with routing and assembly done by
-/// the front-end over channels.
-pub(crate) fn owned_pipeline(
+/// Stages 2–5 run as a batched collective pipeline that every rank of
+/// the communicator enters in lockstep, even with zero owned queries
+/// (the step count is agreed by allreduce).
+///
+/// This is the low-level entry point for callers that drive the SPMD
+/// world themselves (virtual-time scaling studies under
+/// [`panda_comm::run_cluster`], chaos tests that manage
+/// [`panda_comm::Comm::quiesce`] epochs by hand). For serving real
+/// traffic, use [`crate::engine::ShardedIndex`], which runs the same
+/// five stages behind a `Send + Sync` handle as two request/response
+/// passes over shard worker threads, without collectives.
+pub fn query_distributed(
     comm: &mut Comm,
     tree: &DistKdTree,
-    mut owned: Owned,
+    queries: &PointSet,
     cfg: &QueryConfig,
-) -> Result<OwnedOutput> {
+) -> Result<DistQueryOutput> {
+    cfg.validate()?;
+    queries.validate()?;
     let dims = tree.global.dims();
+    if !queries.is_empty() && queries.dims() != dims {
+        return Err(PandaError::DimsMismatch {
+            expected: dims,
+            got: queries.dims(),
+        });
+    }
+    check_qid_capacity(queries.len(), comm.size())?;
     let p = comm.size();
     let me = comm.rank();
     let k = cfg.k;
@@ -258,25 +215,60 @@ pub(crate) fn owned_pipeline(
         f32::INFINITY
     };
 
-    let mut breakdown = QueryBreakdown::default();
-    let mut counters = QueryCounters::default();
+    // ---- Stage 1: find owner & route ----------------------------------
+    let before = comm.clock();
+    let mut route_counters = QueryCounters::default();
+    let mut coord_sends: Vec<Vec<f32>> = vec![Vec::new(); p];
+    let mut qid_sends: Vec<Vec<u64>> = vec![Vec::new(); p];
+    for i in 0..queries.len() {
+        let q = queries.point(i);
+        let owner = tree.global.owner(q, &mut route_counters);
+        coord_sends[owner].extend_from_slice(q);
+        qid_sends[owner].push(qid(me, i));
+    }
+    charge(comm, &route_counters, dims);
+    faultpoint::maybe_fail_ctx(points::DIST_EXCHANGE_ROUTE, me as u64)?;
+    let coords_in = comm.world().try_alltoallv(coord_sends)?;
+    let qids_in = comm.world().try_alltoallv(qid_sends)?;
+    let mut coords: Vec<f32> = coords_in.into_iter().flatten().collect();
+    let mut qids: Vec<u64> = qids_in.into_iter().flatten().collect();
+    let (d_comp, d_comm) = clock_delta(comm, before);
+
+    // ---- Stages 2–5 -----------------------------------------------------
+    let mut breakdown = QueryBreakdown {
+        find_owner: d_comp,
+        comm_total: d_comm,
+        ..QueryBreakdown::default()
+    };
+    let mut counters = route_counters;
     let mut remote = RemoteStats::default();
     let mut ws = QueryWorkspace::new();
 
     // Locality pass: put incoherent owned queries in Morton order so
-    // every batch (and its request streams) touches coherent leaves. The
+    // every batch (and its request streams) touches coherent leaves
+    // (the rule in [`crate::morton`]). Results are keyed by qid, so the
+    // permutation is invisible once they return to their origins. The
     // O(n log n) key sort is negligible next to traversal and is not
     // charged to the virtual clock.
     if cfg.order == QueryOrder::Morton {
-        owned.reorder_morton(dims);
+        if let Some(schedule) = locality_schedule(dims, &coords) {
+            coords = schedule
+                .iter()
+                .flat_map(|&s| &coords[s as usize * dims..(s as usize + 1) * dims])
+                .copied()
+                .collect();
+            qids = schedule.iter().map(|&s| qids[s as usize]).collect();
+        }
     }
-    remote.owned_queries = owned.len() as u64;
+    let owned = qids.len();
+    let point = |i: usize| &coords[i * dims..(i + 1) * dims];
+    remote.owned_queries = owned as u64;
 
     // ---- Batched pipeline ----------------------------------------------
     let steps = {
         let most = comm
             .world()
-            .try_allreduce_u64(owned.len() as u64, ReduceOp::Max)?;
+            .try_allreduce_u64(owned as u64, ReduceOp::Max)?;
         (most as usize).div_ceil(cfg.batch_size)
     };
 
@@ -296,13 +288,13 @@ pub(crate) fn owned_pipeline(
 
     // Finalized owned results, CSR-style in owned (processing) order: one
     // count per owned query plus one flat arena — no per-query `Vec`.
-    let mut fin_counts: Vec<u32> = Vec::with_capacity(owned.len());
+    let mut fin_counts: Vec<u32> = Vec::with_capacity(owned);
     let mut fin_arena: Vec<Neighbor> = Vec::new();
 
     let stride = dims + 1;
     for step in 0..steps {
-        let lo = (step * cfg.batch_size).min(owned.len());
-        let hi = ((step + 1) * cfg.batch_size).min(owned.len());
+        let lo = (step * cfg.batch_size).min(owned);
+        let hi = ((step + 1) * cfg.batch_size).min(owned);
         let blen = hi - lo;
         let mut step_compute = 0.0f64;
         let mut step_comm = 0.0f64;
@@ -317,7 +309,7 @@ pub(crate) fn owned_pipeline(
             let heap = &mut heaps[bi];
             heap.reset(k, r0_sq);
             tree.local.query_into(
-                owned.point(i, dims),
+                point(i),
                 heap,
                 BoundMode::Exact,
                 &mut ws,
@@ -346,7 +338,7 @@ pub(crate) fn owned_pipeline(
             lane.clear();
         }
         for (bi, i) in (lo..hi).enumerate() {
-            let q = owned.point(i, dims);
+            let q = point(i);
             let r_sq = heaps[bi].bound_sq();
             rank_scratch.clear();
             tree.global
@@ -503,76 +495,6 @@ pub(crate) fn owned_pipeline(
         });
     }
 
-    Ok(OwnedOutput {
-        qids: owned.qids,
-        counts: fin_counts,
-        arena: fin_arena,
-        breakdown,
-        counters,
-        remote,
-    })
-}
-
-/// The SPMD engine: every rank passes its own `queries`; results come
-/// back in the same order. `tree` must be the product of
-/// [`crate::build_distributed::build_distributed`] on the same cluster.
-///
-/// This is the low-level entry point for callers that drive the SPMD
-/// world themselves (virtual-time scaling studies under
-/// [`panda_comm::run_cluster`], chaos tests that manage
-/// [`panda_comm::Comm::quiesce`] epochs by hand). For serving real
-/// traffic, use [`crate::engine::ShardedIndex`], which runs this
-/// engine's pipeline inside supervised shard worker threads behind a
-/// `Send + Sync` handle.
-pub fn query_distributed(
-    comm: &mut Comm,
-    tree: &DistKdTree,
-    queries: &PointSet,
-    cfg: &QueryConfig,
-) -> Result<DistQueryOutput> {
-    cfg.validate()?;
-    queries.validate()?;
-    let dims = tree.global.dims();
-    if !queries.is_empty() && queries.dims() != dims {
-        return Err(PandaError::DimsMismatch {
-            expected: dims,
-            got: queries.dims(),
-        });
-    }
-    check_qid_capacity(queries.len(), comm.size())?;
-    let p = comm.size();
-    let me = comm.rank();
-
-    // ---- Stage 1: find owner & route ----------------------------------
-    let before = comm.clock();
-    let mut route_counters = QueryCounters::default();
-    let mut coord_sends: Vec<Vec<f32>> = vec![Vec::new(); p];
-    let mut qid_sends: Vec<Vec<u64>> = vec![Vec::new(); p];
-    for i in 0..queries.len() {
-        let q = queries.point(i);
-        let owner = tree.global.owner(q, &mut route_counters);
-        coord_sends[owner].extend_from_slice(q);
-        qid_sends[owner].push(qid(me, i));
-    }
-    charge(comm, &route_counters, dims);
-    faultpoint::maybe_fail_ctx(points::DIST_EXCHANGE_ROUTE, me as u64)?;
-    let coords_in = comm.world().try_alltoallv(coord_sends)?;
-    let qids_in = comm.world().try_alltoallv(qid_sends)?;
-    let owned = Owned {
-        coords: coords_in.into_iter().flatten().collect(),
-        qids: qids_in.into_iter().flatten().collect(),
-    };
-    let (d_comp, d_comm) = clock_delta(comm, before);
-
-    // ---- Stages 2–5 -----------------------------------------------------
-    let mut out = owned_pipeline(comm, tree, owned, cfg)?;
-    out.breakdown.find_owner += d_comp;
-    out.breakdown.comm_total += d_comm;
-    out.counters.add(&route_counters);
-    let mut breakdown = out.breakdown;
-    let counters = out.counters;
-    let remote = out.remote;
-
     // ---- return results to origins (flat framing) -----------------------
     // One packed meta word per finalized query — `(submission idx << 32) |
     // count` (the origin rank is implied by the lane) — plus flat
@@ -582,17 +504,16 @@ pub fn query_distributed(
     let mut ret_id_sends: Vec<Vec<u64>> = vec![Vec::new(); p];
     let mut ret_dist_sends: Vec<Vec<f32>> = vec![Vec::new(); p];
     let mut cur = 0usize;
-    for (oi, &cnt) in out.counts.iter().enumerate() {
-        let rq = out.qids[oi];
+    for (&rq, &cnt) in qids.iter().zip(&fin_counts) {
         let origin = qid_origin(rq);
         ret_meta_sends[origin].push(((qid_idx(rq) as u64) << QID_SHIFT) | u64::from(cnt));
-        for n in &out.arena[cur..cur + cnt as usize] {
+        for n in &fin_arena[cur..cur + cnt as usize] {
             ret_id_sends[origin].push(n.id);
             ret_dist_sends[origin].push(n.dist_sq);
         }
         cur += cnt as usize;
     }
-    debug_assert_eq!(cur, out.arena.len());
+    debug_assert_eq!(cur, fin_arena.len());
     faultpoint::maybe_fail_ctx(points::DIST_EXCHANGE_RETURN, me as u64)?;
     let ret_meta_in = comm.world().try_alltoallv(ret_meta_sends)?;
     let ret_id_in = comm.world().try_alltoallv(ret_id_sends)?;

@@ -2,11 +2,11 @@
 //!
 //! One always-compiled, dependency-free observability plane shared by
 //! every runtime crate (`panda_service`, `panda_store`, `panda_core`'s
-//! sharded engine, `panda_comm`):
+//! sharded engine):
 //!
 //! * **Metrics** — lock-free [`Counter`] / [`Gauge`] / [`Histogram`]
 //!   handles registered under dotted names in a [`Registry`]
-//!   (`service.rejected`, `store.wal.fsyncs`, `comm.sent_bytes`,
+//!   (`service.rejected`, `store.wal.fsyncs`, `shard.messages`,
 //!   `shard.restarts`, …), snapshotted coherently into a [`Snapshot`].
 //! * **Tracing** — sampled per-query pipeline spans ([`trace`]): a
 //!   [`TraceId`] minted at `ServiceHandle::submit` rides the micro-batch

@@ -20,7 +20,7 @@ enum Metric {
 ///
 /// `counter`/`gauge`/`histogram` are get-or-register: calling twice with
 /// the same name returns handles backed by the same cells, so distinct
-/// components (e.g. every shard worker's comm meter) can publish into
+/// components (e.g. every shard worker's panic count) can publish into
 /// one shared counter.
 #[derive(Clone, Default)]
 pub struct Registry(Arc<Mutex<Vec<(String, Metric)>>>);

@@ -1,4 +1,4 @@
-//! Unified telemetry: one snapshot across service, shards, comm, store.
+//! Unified telemetry: one snapshot across service, shards and store.
 //!
 //! ```text
 //! cargo run --release --example telemetry
@@ -9,8 +9,12 @@
 //! live traffic through a sharded service while a mutable store absorbs
 //! writes, then dumps the merged Prometheus exposition page and the
 //! per-stage trace report — the operator's view of one query's life:
-//! queue → flush → scatter → shard worker → leaf kernel → gather →
-//! resolve, with the store's WAL/compaction stages alongside.
+//! queue → flush → scatter (routing) → shard worker (one span per owner
+//! or remote job) → leaf kernel → gather (both passes and the merge) →
+//! resolve, with the store's WAL/compaction stages alongside. The shard
+//! counters (`shard.rounds`, `shard.queries`, `shard.messages` — jobs
+//! sent —, `shard.restarts`) come from the sharded index; its rounds run
+//! no collectives, so the page carries no `comm.*` series.
 
 use std::sync::Arc;
 
@@ -65,7 +69,7 @@ fn main() -> Result<()> {
     store.compact_now()?;
 
     // --- one merged snapshot, two renderings --------------------------
-    let mut snap = service.telemetry(); // service + shards + comm + faults
+    let mut snap = service.telemetry(); // service + shards + faults
     snap.merge(&store.telemetry()); // store.* and store.wal.*
     println!("=== Prometheus exposition (text format 0.0.4) ===");
     print!("{}", obs::render_prometheus(&snap));

@@ -71,7 +71,7 @@
 //! use panda::prelude::*;
 //!
 //! let points = PointSet::from_coords(1, (0..64).map(|i| i as f32).collect())?;
-//! // two shard workers, each owning half the points and a comm endpoint
+//! // two shard workers, each owning the points of one spatial cell
 //! let sharded = ShardedIndex::build(&points, 2, &DistConfig::default())?;
 //! let service = QueryService::new(Arc::new(sharded), ServiceConfig::default())?;
 //!
@@ -215,12 +215,16 @@
 //!   `ClusterConfig::recv_timeout` (set with `with_timeout`). A straggler
 //!   within it is simply waited for; a peer stalled or dead past it
 //!   surfaces as `PandaError::Comm(CommError::Timeout { .. })` on
-//!   **every** rank instead of aborting the process. After an error the communicator is reusable once every rank calls
-//!   `Comm::quiesce` with a common epoch —
-//!   [`ShardedIndex`](prelude::ShardedIndex) runs that protocol
-//!   automatically across its workers after any failed round.
+//!   **every** rank instead of aborting the process. On the SPMD path
+//!   the communicator is reusable after an error once every rank calls
+//!   `Comm::quiesce` with a common epoch. A
+//!   [`ShardedIndex`](prelude::ShardedIndex) round runs no collectives
+//!   and needs no such protocol: the front end waits the same bound per
+//!   pass for its shards' replies, a shard silent past it fails that
+//!   round with the same typed timeout, and the next round — on its own
+//!   reply channel — is clean.
 //! * **Shard worker panics.** Each shard worker of a
-//!   [`ShardedIndex`](prelude::ShardedIndex) catches a panic mid-batch
+//!   [`ShardedIndex`](prelude::ShardedIndex) catches a panic mid-job
 //!   and at once resolves the round with `PandaError::BackendPanicked`
 //!   (`ShardedIndex::shard_restarts` counts the panics caught); the
 //!   next round proceeds normally.
@@ -253,12 +257,13 @@
 //!
 //! ### Locality on the distributed path
 //!
-//! The distributed pipeline runs in the same locality order by default as
+//! The distributed engines run in the same locality order by default as
 //! the local engine (both [`ShardedIndex`](prelude::ShardedIndex) and the
 //! SPMD `query_distributed`): after queries are routed to their owning
 //! shards, each puts its *owned* queries in Morton (Z-order) order —
-//! unless they already arrive coherent — so every pipeline step's local
-//! KNN and remote request streams touch spatially coherent leaves.
+//! unless they already arrive coherent — so local KNN touches spatially
+//! coherent leaves (a `ShardedIndex` shard applies the same rule to the
+//! remote requests it is sent).
 //! `QueryRequest::with_order(QueryOrder::Input)` opts out. Results always
 //! come back in submission order — the order changes locality, never
 //! values (`tests/dist_order_parity.rs` pins bit-identical results under
@@ -267,17 +272,19 @@
 //! end: responses are assembled directly into the flat
 //! [`NeighborTable`](prelude::NeighborTable) with no nested
 //! `Vec<Vec<Neighbor>>` intermediate (the `sharded2` workload of
-//! `bash benchmark/run.sh` measures it; `--trace 1` adds the shard and
-//! comm rungs of the per-layer ladder).
+//! `bash benchmark/run.sh` measures it; `--trace 1` adds the shard rungs
+//! of the per-layer ladder).
 //!
 //! ## Observability
 //!
 //! Every runtime crate publishes typed, lock-free metrics into a
 //! [`obs::Registry`] under dotted names (`service.*`, `shard.*`,
-//! `comm.*`, `store.*`, `fault.*`). One call —
+//! `store.*`, `fault.*`; the SPMD path keeps per-rank `CommStats`
+//! instead). One call —
 //! [`ServiceHandle::telemetry`](prelude::ServiceHandle::telemetry) (or
 //! `QueryService::telemetry`) — merges the service's registry with the
-//! backend's (shard workers' comm meters, the store's WAL counters, …)
+//! backend's (a sharded index's `shard.messages` jobs sent and caught
+//! panics, the store's WAL counters, …)
 //! and the process-lifetime fault-point trip counts into a single
 //! coherent [`obs::Snapshot`], ready for [`obs::render_prometheus`]
 //! (text format 0.0.4) or [`obs::render_json`]. The existing
@@ -366,6 +373,8 @@
 //! | `QueryResponse::remote` / `breakdown` | the SPMD `query_distributed` → `DistQueryOutput::{remote, breakdown}` |
 //! | `ClusterConfig::with_retry(policy)` | `ClusterConfig::with_timeout(total wait)`: every receive waits that one bound |
 //! | `ServiceStats::scheduler_restarts` / `CommStats::recv_retries` / `CommError::Timeout { attempts }` | nothing — nothing restarts or retries |
+//! | `panda_comm::CommMeter` | `shard.messages` (jobs sent) for shard traffic; `CommStats` per rank (`Comm::stats`) on the SPMD path |
+//! | `ShardedIndex`'s `comm.*` counters | nothing — shard rounds run no collectives |
 
 #![warn(missing_docs)]
 

@@ -215,3 +215,31 @@ fn distributed_backends_agree_with_brute_force() {
     }
     assert_eq!(checked, queries.len());
 }
+
+/// Same work as the SPMD engine: a `ShardedIndex` round's routing, ball
+/// tests, merge and shard traversals add up to the SPMD
+/// `query_distributed` counters summed over ranks, on the same points
+/// and queries.
+#[test]
+fn sharded_counters_equal_the_spmd_engine_summed_over_ranks() {
+    let points = uniform::generate(1200, 3, 1.0, 80);
+    let queries = uniform::generate(90, 3, 1.0, 81);
+    for shards in [1, 2, 4] {
+        let index = ShardedIndex::build(&points, shards, &DistConfig::default()).unwrap();
+        let sharded = index.query(&QueryRequest::knn(&queries, 6)).unwrap();
+        let spmd = run_cluster(&ClusterConfig::new(shards), |comm| {
+            let (rank, size) = (comm.rank(), comm.size());
+            let mine = scatter(&points, rank, size);
+            let tree = build_distributed(comm, mine, &DistConfig::default()).unwrap();
+            let myq = scatter(&queries, rank, size);
+            query_distributed(comm, &tree, &myq, &QueryConfig::with_k(6))
+                .unwrap()
+                .counters
+        });
+        let mut expect = QueryCounters::default();
+        for o in &spmd {
+            expect.add(&o.result);
+        }
+        assert_eq!(sharded.counters, expect, "{shards} shard(s)");
+    }
+}

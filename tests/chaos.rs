@@ -608,8 +608,8 @@ fn shard_panic_mid_batch_is_typed_and_the_worker_restarts() {
 
 /// An injected comm timeout inside a shard worker degrades the round to
 /// `PandaError::Comm` — typed on the caller, **never a hang**, no
-/// panic counted (nothing panicked) — and the front handle's automatic
-/// quiesce makes the very next round exact again.
+/// panic counted (nothing panicked) — and, since rounds share no state,
+/// the very next round is exact again.
 #[test]
 fn shard_comm_timeout_is_typed_never_a_hang() {
     let _guard = faultpoint::arm(
@@ -631,13 +631,60 @@ fn shard_comm_timeout_is_typed_never_a_hang() {
     );
     assert_eq!(sharded.shard_restarts(), 0, "a timeout is not a panic");
 
-    let second = sharded.query(&req).expect("recovered after quiesce");
+    let second = sharded.query(&req).expect("the next round is clean");
     let local = KnnIndex::build(&all, &TreeConfig::default()).unwrap();
     let expect = local.query_session(&req).unwrap();
     assert_eq!(
         bit_rows(second.neighbors.iter()),
         bit_rows(expect.neighbors.iter())
     );
+}
+
+/// A shard that stalls past the receive bound fails its round with a
+/// typed `PandaError::Comm` once the bound passes, not when the shard
+/// wakes. The late reply goes to a round that has given up: the worker
+/// survives the failed send, and the next round — on a fresh reply
+/// channel — is bit-identical to the local engine.
+#[test]
+fn slow_shard_resolves_by_the_deadline_and_its_late_reply_never_leaks() {
+    let bound = Duration::from_millis(200);
+    let stall = Duration::from_millis(600);
+    let _guard = faultpoint::arm(
+        FaultPlan::new().with(
+            FaultSpec::new(points::SHARD_WORKER_QUERY, FaultAction::Delay(stall))
+                .on_ctx(1)
+                .times(1),
+        ),
+    );
+    let all = uniform::generate(500, 3, 1.0, 12);
+    let sharded =
+        ShardedIndex::build_with_cluster(&all, &DistConfig::default(), &short_timeout_cluster(3))
+            .expect("build");
+    let req = QueryRequest::knn(&all, 3);
+    let stalls = faultpoint::fired(points::SHARD_WORKER_QUERY);
+    let t0 = std::time::Instant::now();
+    let first = sharded.query(&req);
+    let waited = t0.elapsed();
+    assert!(
+        matches!(first, Err(PandaError::Comm(CommError::Timeout { .. }))),
+        "expected a typed Comm timeout, got {first:?}"
+    );
+    assert!(
+        waited >= bound && waited < 3 * bound,
+        "resolved after {waited:?}, bound {bound:?}"
+    );
+    assert_eq!(faultpoint::fired(points::SHARD_WORKER_QUERY), stalls + 1);
+
+    // let the stalled worker wake and fail its send to the dead round
+    std::thread::sleep(stall);
+    let second = sharded.query(&req).expect("the next round is clean");
+    let local = KnnIndex::build(&all, &TreeConfig::default()).unwrap();
+    let expect = local.query_session(&req).unwrap();
+    assert_eq!(
+        bit_rows(second.neighbors.iter()),
+        bit_rows(expect.neighbors.iter())
+    );
+    assert_eq!(sharded.shard_restarts(), 0, "a stall is not a panic");
 }
 
 // ----------------------------------------------------------------- store

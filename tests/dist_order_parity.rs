@@ -141,8 +141,8 @@ fn all_queries_owned_by_one_corner_rank() {
 
 /// Batch size smaller than k: every pipeline step carries fewer queries
 /// than the per-query result size, forcing many steps and many
-/// partially-filled exchanges. The SPMD driver and the shard workers
-/// share this pipeline (`owned_pipeline`), so this pins both.
+/// partially-filled exchanges. Only the SPMD driver steps in batches;
+/// the sharded front end sends each shard its whole slice per pass.
 #[test]
 fn batch_size_smaller_than_k() {
     let all = random_ps(1600, 3, 74);
@@ -163,22 +163,32 @@ fn batch_size_smaller_than_k() {
     }
 }
 
-/// Ownership skew through the sharded front handle: every query falls
-/// in one shard's spatial corner, so the other three shards only run
-/// empty collective steps. Results must stay **bit-identical** to a
-/// single-shard deployment and to the local engine.
-#[test]
-fn sharded_skewed_ownership_matches_single_shard() {
-    let all = random_ps(2000, 2, 78);
-    // queries clustered tightly near the origin corner → one owner shard
+/// 200 queries clustered tightly near the origin corner of
+/// [`corner_points`] → one owner shard.
+fn corner_queries() -> PointSet {
     let mut rng = panda::core::rng::SplitRng::new(79);
-    let queries = PointSet::from_coords(
+    PointSet::from_coords(
         2,
         (0..200)
             .map(|_| (rng.next_f64() * 0.4) as f32)
             .collect::<Vec<f32>>(),
     )
-    .unwrap();
+    .unwrap()
+}
+
+fn corner_points() -> PointSet {
+    random_ps(2000, 2, 78)
+}
+
+/// Ownership skew through the sharded front handle: every query falls
+/// in one shard's spatial corner, so the other three shards get no job
+/// unless a ball reaches their cells. Results must stay
+/// **bit-identical** to a single-shard deployment and to the local
+/// engine.
+#[test]
+fn sharded_skewed_ownership_matches_single_shard() {
+    let all = corner_points();
+    let queries = corner_queries();
     let req = QueryRequest::knn(&queries, 8);
     let single = ShardedIndex::build(&all, 1, &DistConfig::default()).unwrap();
     let sharded = ShardedIndex::build(&all, 4, &DistConfig::default()).unwrap();
@@ -190,6 +200,40 @@ fn sharded_skewed_ownership_matches_single_shard() {
     let l = local.query_session(&req).expect("local query");
     assert_eq!(rows(&l.neighbors), rows(&b.neighbors));
     assert_eq!(sharded.shard_restarts(), 0);
+}
+
+/// Only who is asked: when every ball stays inside the owner's cell (a
+/// small k in the skewed corner batch), a round sends exactly one job —
+/// the owner's — and the other shards get none. Rows still equal the
+/// local engine's, ids included.
+#[test]
+fn sharded_asks_only_the_owner_when_balls_stay_home() {
+    let all = corner_points();
+    let queries = corner_queries();
+    let sharded = ShardedIndex::build(&all, 4, &DistConfig::default()).unwrap();
+    let mut counters = QueryCounters::default();
+    let owner = sharded.global().owner(queries.point(0), &mut counters);
+    for i in 0..queries.len() {
+        assert_eq!(
+            sharded.global().owner(queries.point(i), &mut counters),
+            owner
+        );
+    }
+    let registry = sharded.registry().unwrap();
+    let messages = || registry.snapshot().counter("shard.messages").unwrap_or(0);
+    let local = KnnIndex::build(&all, &TreeConfig::default()).unwrap();
+    let req = QueryRequest::knn(&queries, 3);
+    for round in 1..=3 {
+        let before = messages();
+        let got = sharded.query(&req).expect("sharded query");
+        assert_eq!(
+            messages() - before,
+            1,
+            "round {round}: one job, the owner's"
+        );
+        let want = local.query_session(&req).expect("local query");
+        assert_eq!(rows(&got.neighbors), rows(&want.neighbors));
+    }
 }
 
 /// The default order (no override: the locality rule) through the

@@ -605,7 +605,7 @@ fn sharded_backend_under_concurrent_clients_matches_single_shard() {
     let queries = random_ps(CLIENTS * PER_CLIENT, 3, 141);
     let k = 6;
 
-    // ground truth: one shard, one direct collective query
+    // ground truth: one shard, one direct query
     let single = ShardedIndex::build(&points, 1, &DistConfig::default()).unwrap();
     let direct = NnBackend::query(&single, &QueryRequest::knn(&queries, k)).unwrap();
 

@@ -13,6 +13,9 @@
 //! points (`query_distributed`). Those are rank-collectives (every rank
 //! must enter in lockstep) borrowing a `&mut Comm`, so they stay
 //! outside the service contract by design.
+//!
+//! One runtime pin rides along: `ShardedIndex` rounds share no state, so
+//! callers on several threads may overlap rounds on one index directly.
 
 use panda::prelude::*;
 
@@ -69,4 +72,36 @@ fn shared_result_types_cross_threads() {
     assert_send_sync::<NeighborTable>();
     assert_send_sync::<QueryResponse>();
     assert_send_sync::<Neighbor>();
+}
+
+/// Four callers, one 4-shard index, no service in between: every
+/// overlapping round returns rows bit-identical (ids included) to the
+/// local engine.
+#[test]
+fn sharded_rounds_overlap_across_threads() {
+    let points = panda::data::uniform::generate(2000, 3, 1.0, 82);
+    let index = ShardedIndex::build(&points, 4, &DistConfig::default()).unwrap();
+    let local = KnnIndex::build(&points, &TreeConfig::default()).unwrap();
+    let bits = |t: &NeighborTable| {
+        t.iter()
+            .map(|row| row.iter().map(|n| (n.id, n.dist_sq.to_bits())).collect())
+            .collect::<Vec<Vec<_>>>()
+    };
+    std::thread::scope(|s| {
+        for caller in 0..4u64 {
+            let (index, local) = (&index, &local);
+            s.spawn(move || {
+                for round in 0..6 {
+                    let n = 1 + 7 * round as usize;
+                    let queries =
+                        panda::data::uniform::generate(n, 3, 1.0, 100 + 10 * caller + round);
+                    let req = QueryRequest::knn(&queries, 5);
+                    let got = index.query(&req).unwrap().neighbors;
+                    let want = local.query_session(&req).unwrap().neighbors;
+                    assert_eq!(bits(&got), bits(&want), "caller {caller} round {round}");
+                }
+            });
+        }
+    });
+    assert_eq!(index.shard_restarts(), 0);
 }
