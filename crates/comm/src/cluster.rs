@@ -148,12 +148,12 @@ where
 /// every rank's communicator **without spawning threads**.
 ///
 /// [`run_cluster`] owns the whole SPMD lifecycle: it spawns one closure
-/// per rank and tears everything down when the closures return. Long-lived
-/// owners — e.g. shard worker threads that build an index collectively
-/// and then serve it — need the opposite: endpoints they can move into
-/// threads they manage themselves. `Comm` is `Send`, so each element
+/// per rank and tears everything down when the closures return. Callers
+/// that manage their own threads — e.g. a sharded index that builds
+/// collectively and keeps only the trees — need the opposite: endpoints
+/// they can move into those threads. `Comm` is `Send`, so each element
 /// of the returned vector (index = world rank) can migrate into its
-/// worker; collectives work exactly as under `run_cluster`, including the
+/// thread; collectives work exactly as under `run_cluster`, including the
 /// `recv_timeout` deadlock detection from `cfg`.
 ///
 /// Dropping an endpoint closes its mailbox; peers blocked on it surface

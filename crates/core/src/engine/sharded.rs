@@ -1,31 +1,33 @@
 //! [`ShardedIndex`]: the distributed engine as a **service-grade**
-//! backend — shard worker threads behind a `Send + Sync` handle.
+//! backend — one local engine per spatial cell behind a `Send + Sync`
+//! handle.
 //!
 //! The paper's query runs in five stages (§III-B, restated in
 //! [`crate::query_distributed`]): find the owner, local KNN, identify
 //! the remote ranks whose cells the ball `(q, r')` touches, remote KNN,
 //! and merge. The SPMD driver runs them as collectives that every rank
 //! enters in lockstep. Here the front handle runs stages 1, 3 and 5
-//! itself, and a round is two request/response passes over the shards'
-//! job channels, with no collective anywhere:
+//! itself, and a round is two passes over the shards, with no
+//! collective anywhere:
 //!
-//! * **Each shard is a long-lived worker thread** that exclusively owns
-//!   its local kd-tree (built collectively by the SPMD
-//!   [`build_distributed`]; the comm endpoint is dropped once the build
-//!   is done) and serves one kind of job: "k-NN for these `(q, r²)`".
-//!   It runs the job through the local batch engine of [`KnnIndex`] on
-//!   its own thread (locality order per [`crate::morton`], one row per
-//!   query in job order) and answers on the reply channel the job
-//!   carries.
+//! * **A shard is data.** Each cell's points sit in their own
+//!   [`KnnIndex`] (built collectively by the SPMD [`build_distributed`]
+//!   on threads that end with the build). A pass asks each shard it
+//!   needs one question, "k-NN for these `(q, r²)`", answered by that
+//!   shard's local batch engine on one thread (locality order per
+//!   [`crate::morton`], one row per query in ask order). The asked shards
+//!   run as one parallel map on the pool; a pass that asks one shard runs
+//!   on the caller.
 //! * **Owner pass.** The front routes each query to the shard whose cell
-//!   holds it and sends each owning shard one job with its slice, bounded
-//!   by the request's `r0²` (`+∞` without a radius); the shard returns its
+//!   holds it and asks each owning shard its slice, bounded by the
+//!   request's `r0²` (`+∞` without a radius); the shard returns its
 //!   local top-k rows.
 //! * **Remote pass.** From each row the front takes `r'²` — the k-th
 //!   distance when the row is full, else `r0²` — asks the global tree
-//!   which other shards the ball touches, and sends `(q, r'²)` to those
-//!   shards only. A shard with nothing to do gets no job
-//!   (`shard.messages` counts the jobs sent).
+//!   which other shards the ball touches, and asks `(q, r'²)` of those
+//!   shards only. A shard with nothing to do is not asked
+//!   (`shard.messages` counts the asks, the messages a remote transport
+//!   would carry).
 //! * **Merge.** Candidates enter a [`KnnHeap`] reset to `(k, r0²)` in the
 //!   SPMD engine's order: the owner's row, then each remote shard in
 //!   ascending rank. A query no other shard was asked about keeps its
@@ -37,24 +39,20 @@
 //! `tests/backend_parity.rs`), so a service can front a sharded cluster
 //! and still promise exactness.
 //!
-//! Rounds share no state — each creates its own reply channel — so
-//! rounds from several callers overlap freely. The front waits at most
-//! [`ClusterConfig::recv_timeout`] per pass: a shard that has not
-//! answered by then fails the round with [`PandaError::Comm`], never a
-//! hang, and its late reply goes nowhere. A worker catches a panic
-//! inside a job where it happens and replies at once with a typed
-//! [`PandaError::BackendPanicked`] (counted in `shard.restarts`); a
-//! worker whose reply finds its round gone keeps serving. Since no shard
-//! waits on another, the first error a round receives is its root cause.
+//! Rounds share no state, so rounds from several callers overlap freely.
+//! A pass has no deadline of its own: a slow shard is a slow call, like a
+//! slow [`KnnIndex`]. A panic inside a shard's answer is caught where it
+//! happens and fails the round with a typed
+//! [`PandaError::BackendPanicked`] naming the shard; the next round
+//! proceeds normally. The first error in rank order is the round's.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use panda_comm::{make_endpoints, ClusterConfig, Comm, CommError};
+use panda_comm::{make_endpoints, ClusterConfig};
 use panda_obs::trace::{self, Stage};
 use panda_obs::{Counter, Registry, TraceId};
+use rayon::prelude::*;
 
 use crate::build_distributed::build_distributed;
 use crate::config::{DistConfig, QueryOrder};
@@ -68,17 +66,7 @@ use crate::knn::KnnIndex;
 use crate::point::PointSet;
 use crate::supervise::panic_message;
 
-/// "k-NN for these `(q, r²)`": the one job both passes send.
-struct KnnJob {
-    asks: Asks,
-    k: usize,
-    order: QueryOrder,
-    trace: TraceId,
-    /// The round's reply channel; the shard tags its rows with its rank.
-    reply: Sender<(usize, Result<ShardRows>)>,
-}
-
-/// One shard's answer to a [`KnnJob`]: a sorted row per query, in job
+/// One shard's answer to its [`Asks`]: a sorted row per query, in ask
 /// order, and the work it took.
 type ShardRows = (NeighborTable, QueryCounters);
 
@@ -106,9 +94,10 @@ impl Asks {
 /// A distributed kd-tree cluster behind one thread-safe handle.
 ///
 /// `ShardedIndex: Send + Sync` — the compile-time pin that makes the
-/// distributed engine service-eligible (`tests/thread_safety.rs`). Build
-/// with [`ShardedIndex::build`], then use it anywhere an
-/// `Arc<dyn NnBackend + Send + Sync>` is expected:
+/// distributed engine service-eligible (`tests/thread_safety.rs`). It
+/// holds the global BSP tree and one [`KnnIndex`] per cell, and starts no
+/// thread once built. Build with [`ShardedIndex::build`], then use it
+/// anywhere an `Arc<dyn NnBackend + Send + Sync>` is expected:
 ///
 /// ```
 /// use panda_core::engine::{NnBackend, QueryRequest, ShardedIndex};
@@ -122,110 +111,100 @@ impl Asks {
 /// # Ok::<(), panda_core::PandaError>(())
 /// ```
 pub struct ShardedIndex {
-    /// Clone of the global BSP tree, used by the front end for routing
-    /// and for finding the shards a ball touches.
+    /// The global BSP tree, used by the front end for routing and for
+    /// finding the shards a ball touches.
     global: GlobalKdTree,
+    /// One local engine per cell, in rank order.
+    shards: Vec<KnnIndex>,
     dims: usize,
     len: usize,
-    /// One job channel per shard worker; dropping them ends the workers.
-    job_tx: Vec<Sender<KnnJob>>,
-    /// How long one pass waits for its replies.
-    recv_timeout: Duration,
     /// Shared metrics plane: the `shard.*` counters (see
     /// [`NnBackend::registry`]).
     registry: Registry,
-    restarts: Counter,
     rounds: Counter,
     queries_total: Counter,
     messages: Counter,
-    workers: Vec<JoinHandle<()>>,
-}
-
-fn shard_gone() -> PandaError {
-    PandaError::BackendPanicked("shard worker disconnected".into())
 }
 
 impl ShardedIndex {
-    /// Build a cluster of `shards` worker threads over `points` (ids must
-    /// be unique). Points are dealt round-robin across shards and then
+    /// Build a cluster of `shards` cells over `points` (ids must be
+    /// unique). Points are dealt round-robin across shards and then
     /// redistributed by the collective build into spatial cells, exactly
-    /// as the SPMD [`build_distributed`] does.
+    /// as the SPMD [`build_distributed`] does; the build's threads and
+    /// communicators end when it returns.
     pub fn build(points: &PointSet, shards: usize, cfg: &DistConfig) -> Result<Self> {
-        Self::build_with_cluster(points, cfg, &ClusterConfig::new(shards))
-    }
-
-    /// [`ShardedIndex::build`] with an explicit [`ClusterConfig`]:
-    /// `cluster.ranks` is the shard count, its cost model and receive
-    /// timeout govern the collective build, and the same timeout bounds
-    /// each pass of a query round — chaos tests shorten it so injected
-    /// stalls surface as typed errors in milliseconds rather than
-    /// minutes.
-    pub fn build_with_cluster(
-        points: &PointSet,
-        cfg: &DistConfig,
-        cluster: &ClusterConfig,
-    ) -> Result<Self> {
-        if cluster.ranks == 0 {
+        if shards == 0 {
             return Err(PandaError::BadConfig(
                 "sharded index needs at least one shard".into(),
             ));
         }
         points.validate()?;
-        let shards = cluster.ranks;
         let dims = points.dims();
-        let (init_tx, init_rx) = channel::<Result<Option<GlobalKdTree>>>();
-        let registry = Registry::new();
-        let restarts = registry.counter("shard.restarts");
-        let mut job_tx = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for (shard, comm) in make_endpoints(cluster).into_iter().enumerate() {
-            let (tx, rx) = channel::<KnnJob>();
-            job_tx.push(tx);
-            let mut mine = PointSet::new(dims)?;
-            for i in (shard..points.len()).step_by(shards) {
-                mine.push(points.point(i), points.id(i));
-            }
-            let cfg = *cfg;
-            let init_tx = init_tx.clone();
-            let restarts = restarts.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("panda-shard-{shard}"))
-                .stack_size(8 << 20)
-                .spawn(move || worker_entry(comm, mine, cfg, shard, rx, init_tx, restarts))
-                .map_err(|e| PandaError::BadConfig(format!("spawn shard worker: {e}")))?;
-            workers.push(handle);
+        let mut dealt = (0..shards)
+            .map(|_| PointSet::new(dims))
+            .collect::<Result<Vec<_>>>()?;
+        for i in 0..points.len() {
+            dealt[i % shards].push(points.point(i), points.id(i));
         }
-        drop(init_tx);
-        // The collective build either succeeds on every shard or fails on
-        // every shard; keep the first error as the representative one.
-        let global = match init_rx.iter().collect::<Result<Vec<_>>>() {
-            Ok(trees) if trees.len() == shards => trees.into_iter().flatten().next(),
-            failed => {
-                drop(job_tx);
-                for h in workers {
-                    let _ = h.join();
-                }
-                return Err(failed.err().unwrap_or_else(shard_gone));
-            }
-        };
+        // The collective build either works everywhere or fails
+        // everywhere (a dead peer surfaces as a timeout on the others);
+        // keep the first error in rank order as the representative one.
+        let built: Vec<Result<_>> = std::thread::scope(|s| {
+            let handles = make_endpoints(&ClusterConfig::new(shards))
+                .into_iter()
+                .zip(dealt)
+                .enumerate()
+                .map(|(shard, (mut comm, mine))| {
+                    std::thread::Builder::new()
+                        .name(format!("panda-shard-{shard}"))
+                        .stack_size(8 << 20)
+                        .spawn_scoped(s, move || {
+                            // Keep the local tree, and shard 0's routing
+                            // tree (the build is deterministic and
+                            // collective, so every shard holds the same);
+                            // the redistributed points go here.
+                            build_distributed(&mut comm, mine, cfg)
+                                .map(|tree| ((shard == 0).then_some(tree.global), tree.local))
+                        })
+                        .map_err(|e| PandaError::BadConfig(format!("spawn shard build: {e}")))
+                })
+                .collect::<Vec<_>>();
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(shard, handle)| {
+                    handle?.join().unwrap_or_else(|panic| {
+                        Err(PandaError::BackendPanicked(format!(
+                            "shard {shard} build: {}",
+                            panic_message(panic.as_ref())
+                        )))
+                    })
+                })
+                .collect()
+        });
+        let mut global = None;
+        let mut locals = Vec::with_capacity(shards);
+        for tree in built {
+            let (routing, local) = tree?;
+            global = global.or(routing);
+            locals.push(KnnIndex { tree: local });
+        }
+        let registry = Registry::new();
         Ok(Self {
-            global: global.expect("shard 0 publishes the global tree"),
+            global: global.expect("shard 0 keeps the routing tree"),
+            shards: locals,
             dims,
             len: points.len(),
-            job_tx,
-            recv_timeout: cluster.recv_timeout,
             rounds: registry.counter("shard.rounds"),
             queries_total: registry.counter("shard.queries"),
             messages: registry.counter("shard.messages"),
             registry,
-            restarts,
-            workers,
         })
     }
 
-    /// Number of shard worker threads.
+    /// Number of shards (spatial cells).
     pub fn shards(&self) -> usize {
-        self.job_tx.len()
+        self.shards.len()
     }
 
     /// The global BSP tree used for routing (rank regions, bboxes).
@@ -233,16 +212,9 @@ impl ShardedIndex {
         &self.global
     }
 
-    /// Panics caught by the shard workers (`shard.restarts`): each one
-    /// failed its round with [`PandaError::BackendPanicked`] and the
-    /// worker went on serving. A healthy cluster stays at 0.
-    pub fn shard_restarts(&self) -> u64 {
-        self.restarts.get()
-    }
-
-    /// One pass: send one job to every shard with something to ask, then
-    /// wait at most `recv_timeout` for all of their rows. A shard asked
-    /// nothing answers with empty rows.
+    /// One pass: answer every shard with something to ask, as one
+    /// parallel map over those shards only. A shard asked nothing answers
+    /// with empty rows.
     fn pass(
         &self,
         asks: Vec<Asks>,
@@ -250,54 +222,47 @@ impl ShardedIndex {
         order: QueryOrder,
         trace_id: TraceId,
     ) -> Result<Vec<ShardRows>> {
-        let (reply, replies) = channel();
-        let mut waiting = Vec::new();
-        for (shard, ask) in asks.into_iter().enumerate() {
-            if ask.bounds_sq.is_empty() {
-                continue;
-            }
-            let job = KnnJob {
-                asks: ask,
-                k,
-                order,
-                trace: trace_id,
-                reply: reply.clone(),
-            };
-            self.job_tx[shard].send(job).map_err(|_| shard_gone())?;
-            self.messages.inc();
-            waiting.push(shard);
-        }
-        drop(reply);
-        let deadline = Instant::now() + self.recv_timeout;
+        let asked: Vec<(usize, Asks)> = asks
+            .into_iter()
+            .enumerate()
+            .filter(|(_, ask)| !ask.bounds_sq.is_empty())
+            .collect();
+        self.messages.add(asked.len() as u64);
+        let answers: Vec<(usize, Result<ShardRows>)> = asked
+            .into_par_iter()
+            .map(|(shard, ask)| (shard, self.answer(shard, &ask, k, order, trace_id)))
+            .collect();
         let mut rows: Vec<ShardRows> = (0..self.shards()).map(|_| ShardRows::default()).collect();
-        while !waiting.is_empty() {
-            match replies.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                Ok((shard, answer)) => {
-                    rows[shard] = answer?;
-                    waiting.retain(|&s| s != shard);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let shard = waiting[0];
-                    return Err(PandaError::Comm(CommError::Timeout {
-                        rank: shard,
-                        src: shard,
-                        tag: 0,
-                    }));
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(shard_gone()),
-            }
+        for (shard, answer) in answers {
+            rows[shard] = answer?;
         }
         Ok(rows)
     }
-}
 
-impl Drop for ShardedIndex {
-    fn drop(&mut self) {
-        // Closing the job channels ends every worker loop.
-        self.job_tx.clear();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    /// Shard `shard` answers `ask` through its local batch engine on the
+    /// calling thread, each query from its own bound: the seam a remote
+    /// transport would carry. A panic is caught here and returned typed.
+    fn answer(
+        &self,
+        shard: usize,
+        ask: &Asks,
+        k: usize,
+        order: QueryOrder,
+        trace_id: TraceId,
+    ) -> Result<ShardRows> {
+        let t0 = Instant::now();
+        let answer = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            faultpoint::maybe_fail_ctx(points::SHARD_WORKER_QUERY, shard as u64)?;
+            let bounds_sq = &ask.bounds_sq;
+            self.shards[shard].batch_csr(&ask.queries, k, |i| bounds_sq[i], order, false, |_| true)
+        }));
+        trace::record(trace_id, Stage::ShardWorker, t0);
+        answer.unwrap_or_else(|panic| {
+            Err(PandaError::BackendPanicked(format!(
+                "shard {shard} panicked mid-batch: {}",
+                panic_message(panic.as_ref())
+            )))
+        })
     }
 }
 
@@ -307,7 +272,6 @@ impl std::fmt::Debug for ShardedIndex {
             .field("shards", &self.shards())
             .field("len", &self.len)
             .field("dims", &self.dims)
-            .field("restarts", &self.shard_restarts())
             .finish()
     }
 }
@@ -339,7 +303,7 @@ impl NnBackend for ShardedIndex {
         let r0_sq = req.radius_sq();
 
         // (1) find owner: `route[i]` is query i's owner and its place in
-        // the owner's job.
+        // the owner's asks.
         let mut route = Vec::with_capacity(n);
         let mut asks = (0..p)
             .map(|_| Asks::new(self.dims))
@@ -444,76 +408,6 @@ impl NnBackend for ShardedIndex {
     }
 }
 
-/// Worker thread body: collective build, publish the init result, then
-/// serve jobs until the front handle closes the job channel.
-fn worker_entry(
-    mut comm: Comm,
-    mine: PointSet,
-    cfg: DistConfig,
-    shard: usize,
-    jobs: Receiver<KnnJob>,
-    init_tx: Sender<Result<Option<GlobalKdTree>>>,
-    restarts: Counter,
-) {
-    // The collective build either works everywhere or panics/errs
-    // everywhere (a dead peer surfaces as a timeout panic here). Rounds
-    // need no collectives, so the endpoint goes with it.
-    let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        build_distributed(&mut comm, mine, &cfg)
-    }));
-    drop(comm);
-    let index = match built {
-        Ok(Ok(tree)) => {
-            // Shard 0 publishes the routing tree (identical on every
-            // shard — the build is deterministic and collective).
-            let _ = init_tx.send(Ok((shard == 0).then(|| tree.global.clone())));
-            KnnIndex { tree: tree.local }
-        }
-        Ok(Err(e)) => {
-            let _ = init_tx.send(Err(e));
-            return;
-        }
-        Err(panic) => {
-            let _ = init_tx.send(Err(PandaError::BackendPanicked(format!(
-                "shard {shard} build: {}",
-                panic_message(panic.as_ref())
-            ))));
-            return;
-        }
-    };
-    drop(init_tx);
-    // A panic inside a job is caught where it happens: the job resolves
-    // at once with a typed error, the panic counter advances, and the
-    // worker takes the next job.
-    for job in jobs {
-        let t0 = Instant::now();
-        let answer = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            faultpoint::maybe_fail_ctx(points::SHARD_WORKER_QUERY, shard as u64)?;
-            // the local batch engine, on this thread, each query from its
-            // own bound
-            let bounds_sq = &job.asks.bounds_sq;
-            index.batch_csr(
-                &job.asks.queries,
-                job.k,
-                |i| bounds_sq[i],
-                job.order,
-                false,
-                |_| true,
-            )
-        }));
-        trace::record(job.trace, Stage::ShardWorker, t0);
-        let answer = answer.unwrap_or_else(|panic| {
-            restarts.inc();
-            Err(PandaError::BackendPanicked(format!(
-                "shard {shard} panicked mid-batch: {}",
-                panic_message(panic.as_ref())
-            )))
-        });
-        // A round that gave up has dropped its receiver; keep serving.
-        let _ = job.reply.send((shard, answer));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,7 +450,6 @@ mod tests {
         let backend: &dyn NnBackend = &idx;
         let res = backend.query(&QueryRequest::knn(&queries, 5)).unwrap();
         assert_eq!(res.neighbors, expect, "bit-identical to single-shard");
-        assert_eq!(idx.shard_restarts(), 0);
     }
 
     #[test]
@@ -569,11 +462,10 @@ mod tests {
         let snap = (&idx as &dyn NnBackend).registry().unwrap().snapshot();
         assert_eq!(snap.counter("shard.rounds"), Some(2));
         assert_eq!(snap.counter("shard.queries"), Some(48));
-        assert_eq!(snap.counter("shard.restarts"), Some(0));
-        // at least the owners' jobs, at most an owner and a remote job
+        // at least the owners' asks, at most an owner and a remote ask
         // per shard per round
         let messages = snap.counter("shard.messages").unwrap();
-        assert!((2..=8).contains(&messages), "{messages} jobs: {snap:?}");
+        assert!((2..=8).contains(&messages), "{messages} asks: {snap:?}");
         // rounds move no data through collectives, so no `comm.*` cell
         assert!(
             snap.iter().all(|(name, _)| !name.starts_with("comm.")),

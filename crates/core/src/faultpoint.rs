@@ -50,11 +50,12 @@ pub mod points {
     /// Origin-return exchange (pipeline epilogue).
     pub const DIST_EXCHANGE_RETURN: &str = "dist.exchange.return";
     /// Local engine batch execution (leaf kernel dispatch), also inside
-    /// every shard job.
+    /// every shard's answer.
     pub const ENGINE_LEAF_DISPATCH: &str = "engine.leaf_dispatch";
-    /// Shard worker, start of a KNN job — an owner-pass or a
-    /// remote-pass job (context = shard id). Fires on the worker thread,
-    /// before any traversal.
+    /// Sharded engine, start of one shard's answer to an owner-pass or a
+    /// remote-pass ask (context = shard id). Fires on the thread that
+    /// runs the answer — the caller or a pool worker — before any
+    /// traversal.
     pub const SHARD_WORKER_QUERY: &str = "shard.worker.query";
     /// Query-service micro-batch drain/execute path.
     pub const SERVICE_DRAIN: &str = "service.drain";

@@ -167,7 +167,7 @@ impl KnnIndex {
     }
 
     /// The CSR batch engine behind [`Self::query_session_filtered`] and
-    /// the shard workers of [`crate::engine::ShardedIndex`], traversing
+    /// each shard's answer in [`crate::engine::ShardedIndex`], traversing
     /// with the exact bound over the points `live` accepts. Query `i`
     /// starts from the squared search bound `bound_sq(i)`.
     /// The execution order affects locality only, and the split into

@@ -15,9 +15,9 @@
 //! * Single-node usage: [`knn::KnnIndex`] (implements
 //!   [`engine::NnBackend`]).
 //! * Distributed usage: [`engine::ShardedIndex`], same trait — a
-//!   `Send + Sync` front handle over long-lived shard worker threads,
-//!   each owning its local tree (built collectively over `panda-comm`;
-//!   query rounds run no collectives). SPMD callers
+//!   `Send + Sync` front handle over one local tree per spatial cell
+//!   (built collectively over `panda-comm`; query rounds run on the
+//!   caller or the pool, with no collectives). SPMD callers
 //!   (virtual-time scaling studies) drive
 //!   [`build_distributed::build_distributed`] +
 //!   [`query_distributed::query_distributed`] directly under

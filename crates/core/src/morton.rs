@@ -4,7 +4,7 @@
 //! queries spatially adjacent, so they traverse mostly the same tree path
 //! and re-touch the same leaf buckets while those are still cached. Both
 //! batch engines — [`crate::knn::KnnIndex::query_session`] and every shard
-//! worker of [`crate::engine::ShardedIndex`] (and the SPMD driver) — run
+//! of [`crate::engine::ShardedIndex`] (and the SPMD driver) — run
 //! each batch through one rule under the default
 //! [`crate::config::QueryOrder::Morton`]: a batch of fewer than two
 //! queries, or one whose input order is already coherent (sampled

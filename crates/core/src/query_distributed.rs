@@ -188,8 +188,8 @@ pub struct DistQueryOutput {
 /// [`panda_comm::run_cluster`], chaos tests that manage
 /// [`panda_comm::Comm::quiesce`] epochs by hand). For serving real
 /// traffic, use [`crate::engine::ShardedIndex`], which runs the same
-/// five stages behind a `Send + Sync` handle as two request/response
-/// passes over shard worker threads, without collectives.
+/// five stages behind a `Send + Sync` handle as two passes over its
+/// shards, run on the caller or the pool, without collectives.
 pub fn query_distributed(
     comm: &mut Comm,
     tree: &DistKdTree,

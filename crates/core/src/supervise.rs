@@ -1,6 +1,6 @@
 //! Shared supervision helper: the service scheduler (per flush), the
-//! shard workers (per round) and the store's compaction each catch a
-//! panic where it happens and surface it at once as
+//! sharded engine (per shard answer) and the store's compaction each
+//! catch a panic where it happens and surface it at once as
 //! [`crate::PandaError::BackendPanicked`] carrying the root-cause
 //! message, and the thread that caught the panic goes on to its next
 //! unit of work.

@@ -7,7 +7,7 @@
 //! * **Metrics** — lock-free [`Counter`] / [`Gauge`] / [`Histogram`]
 //!   handles registered under dotted names in a [`Registry`]
 //!   (`service.rejected`, `store.wal.fsyncs`, `shard.messages`,
-//!   `shard.restarts`, …), snapshotted coherently into a [`Snapshot`].
+//!   `shard.rounds`, …), snapshotted coherently into a [`Snapshot`].
 //! * **Tracing** — sampled per-query pipeline spans ([`trace`]): a
 //!   [`TraceId`] minted at `ServiceHandle::submit` rides the micro-batch
 //!   into the backend, and each stage records its latency into a global

@@ -20,8 +20,8 @@ enum Metric {
 ///
 /// `counter`/`gauge`/`histogram` are get-or-register: calling twice with
 /// the same name returns handles backed by the same cells, so distinct
-/// components (e.g. every shard worker's panic count) can publish into
-/// one shared counter.
+/// components (e.g. every client of one metric) can publish into one
+/// shared counter.
 #[derive(Clone, Default)]
 pub struct Registry(Arc<Mutex<Vec<(String, Metric)>>>);
 

@@ -60,9 +60,9 @@ pub enum Stage {
     Queue = 0,
     /// Service: micro-batch assembly (coalescing member coords).
     Flush = 1,
-    /// Sharded engine: scatter of the batch to shard workers.
+    /// Sharded engine: routing the batch to its owning shards.
     Scatter = 2,
-    /// Shard worker: whole per-shard query execution.
+    /// Sharded engine: one shard's whole answer to one pass.
     ShardWorker = 3,
     /// Leaf kernel: the local batched kd-tree traversal.
     LeafKernel = 4,

@@ -73,8 +73,7 @@
 //!
 //! The sharded engine is a first-class backend here:
 //! [`ShardedIndex`](panda_core::engine::ShardedIndex) is `Send + Sync`
-//! (a front handle over long-lived shard worker threads, each owning
-//! its local tree exclusively), so
+//! (a front handle over one local tree per spatial cell), so
 //! `QueryService::new(Arc::new(sharded), cfg)` serves a whole
 //! distributed tree behind the same ticket API — see the
 //! `sharded_service` example. Only the SPMD entry points

@@ -4,13 +4,13 @@
 //! cargo run --release --example sharded_service
 //! ```
 //!
-//! `ShardedIndex` runs each shard of the distributed kd-tree on its own
-//! worker thread behind plain channels, so the front handle is
-//! `Send + Sync` and drops straight into `QueryService` — the same
-//! traffic layer that serves the single-node engines. This example
-//! builds a 4-shard index, fronts it with the service, drives
-//! closed-loop clients with uniform random queries, and prints the
-//! shard + batching telemetry.
+//! `ShardedIndex` holds each shard of the distributed kd-tree as its own
+//! local index and runs a round's passes on the caller or the pool, so
+//! the front handle is `Send + Sync` and drops straight into
+//! `QueryService` — the same traffic layer that serves the single-node
+//! engines. This example builds a 4-shard index, fronts it with the
+//! service, drives closed-loop clients with uniform random queries, and
+//! prints the shard + batching telemetry.
 
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ fn main() -> Result<()> {
         &DistConfig::default(),
     )?);
     println!(
-        "indexed {} points in 3-D across {} shard workers",
+        "indexed {} points in 3-D across {} shards",
         index.len(),
         index.shards()
     );
@@ -83,7 +83,6 @@ fn main() -> Result<()> {
         stats.p50_latency_seconds() * 1e6,
         stats.p99_latency_seconds() * 1e6
     );
-    println!("  shard restarts       {}", index.shard_restarts());
 
     service.shutdown();
     Ok(())

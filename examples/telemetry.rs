@@ -9,12 +9,13 @@
 //! live traffic through a sharded service while a mutable store absorbs
 //! writes, then dumps the merged Prometheus exposition page and the
 //! per-stage trace report — the operator's view of one query's life:
-//! queue → flush → scatter (routing) → shard worker (one span per owner
-//! or remote job) → leaf kernel → gather (both passes and the merge) →
-//! resolve, with the store's WAL/compaction stages alongside. The shard
-//! counters (`shard.rounds`, `shard.queries`, `shard.messages` — jobs
-//! sent —, `shard.restarts`) come from the sharded index; its rounds run
-//! no collectives, so the page carries no `comm.*` series.
+//! queue → flush → scatter (routing) → shard worker (one span per
+//! shard's answer to the owner or remote pass) → leaf kernel → gather
+//! (both passes and the merge) → resolve, with the store's
+//! WAL/compaction stages alongside. The shard counters (`shard.rounds`,
+//! `shard.queries`, `shard.messages` — asks made) come from the sharded
+//! index; its rounds run no collectives, so the page carries no `comm.*`
+//! series.
 
 use std::sync::Arc;
 

@@ -52,8 +52,8 @@
 //! The same request replays against any backend — the parity suite in
 //! `tests/backend_parity.rs` holds every engine to bit-identical answers.
 //! The distributed engine is [`ShardedIndex`](prelude::ShardedIndex):
-//! one `Send + Sync` handle over long-lived shard worker threads, each
-//! exclusively owning its local tree and communicator — build it with
+//! one `Send + Sync` handle over one local tree per spatial cell, whose
+//! query passes run where the caller is — build it with
 //! `ShardedIndex::build(&points, shards, &cfg)` and query it through the
 //! identical trait, no `run_cluster` closure required. (The SPMD
 //! entry points `build_distributed` + `query_distributed` remain public
@@ -71,7 +71,7 @@
 //! use panda::prelude::*;
 //!
 //! let points = PointSet::from_coords(1, (0..64).map(|i| i as f32).collect())?;
-//! // two shard workers, each owning the points of one spatial cell
+//! // two shards, each holding the points of one spatial cell
 //! let sharded = ShardedIndex::build(&points, 2, &DistConfig::default())?;
 //! let service = QueryService::new(Arc::new(sharded), ServiceConfig::default())?;
 //!
@@ -219,15 +219,13 @@
 //!   the communicator is reusable after an error once every rank calls
 //!   `Comm::quiesce` with a common epoch. A
 //!   [`ShardedIndex`](prelude::ShardedIndex) round runs no collectives
-//!   and needs no such protocol: the front end waits the same bound per
-//!   pass for its shards' replies, a shard silent past it fails that
-//!   round with the same typed timeout, and the next round — on its own
-//!   reply channel — is clean.
-//! * **Shard worker panics.** Each shard worker of a
-//!   [`ShardedIndex`](prelude::ShardedIndex) catches a panic mid-job
-//!   and at once resolves the round with `PandaError::BackendPanicked`
-//!   (`ShardedIndex::shard_restarts` counts the panics caught); the
-//!   next round proceeds normally.
+//!   and receives nothing: its shards answer as calls on the caller or
+//!   the pool, so a straggler shard is a slow call and the service's
+//!   request deadline still applies at flush time.
+//! * **Shard panics.** A panic inside one shard's answer is caught
+//!   where it happens and fails the round with
+//!   `PandaError::BackendPanicked` naming the shard; the next round
+//!   proceeds normally.
 //! * **Durability and crash recovery.** A mutable store opened with
 //!   [`MutableIndex::open`](prelude::MutableIndex::open) appends every
 //!   mutation to a CRC-checksummed write-ahead log *before*
@@ -375,6 +373,8 @@
 //! | `ServiceStats::scheduler_restarts` / `CommStats::recv_retries` / `CommError::Timeout { attempts }` | nothing — nothing restarts or retries |
 //! | `panda_comm::CommMeter` | `shard.messages` (jobs sent) for shard traffic; `CommStats` per rank (`Comm::stats`) on the SPMD path |
 //! | `ShardedIndex`'s `comm.*` counters | nothing — shard rounds run no collectives |
+//! | `ShardedIndex::build_with_cluster(&p, &cfg, &cluster)` | `ShardedIndex::build(&p, cluster.ranks, &cfg)` |
+//! | `ShardedIndex::shard_restarts()` / `shard.restarts` | nothing — a caught panic returns `BackendPanicked` naming the shard |
 
 #![warn(missing_docs)]
 

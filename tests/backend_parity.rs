@@ -53,7 +53,7 @@ fn assert_ids_honest(res: &QueryResponse, points: &PointSet, queries: &PointSet,
 }
 
 /// Every backend served from one handle, built from the same points —
-/// the sharded engine included, with its shard workers behind the handle.
+/// the sharded engine included, with one local index per cell behind it.
 fn single_node_backends(points: &PointSet) -> Vec<Box<dyn NnBackend>> {
     let cfg = TreeConfig::default();
     let parallel = TreeConfig::default().with_parallel(true).with_threads(2);

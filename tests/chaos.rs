@@ -537,10 +537,6 @@ fn late_stage_exchange_fault_is_also_typed_and_recoverable() {
 
 // ---------------------------------------------------------------- shards
 
-fn short_timeout_cluster(shards: usize) -> ClusterConfig {
-    ClusterConfig::new(shards).with_timeout(Duration::from_millis(200))
-}
-
 fn bit_rows(rows: impl Iterator<Item = impl AsRef<[Neighbor]>>) -> Vec<Vec<(u64, u32)>> {
     rows.map(|row| {
         row.as_ref()
@@ -551,11 +547,11 @@ fn bit_rows(rows: impl Iterator<Item = impl AsRef<[Neighbor]>>) -> Vec<Vec<(u64,
     .collect()
 }
 
-/// A shard worker panicking mid-batch inside a service-fronted
+/// A shard panicking mid-batch inside a service-fronted
 /// [`ShardedIndex`] surfaces as `BackendPanicked` on the affected
-/// tickets — typed, naming the shard — while the worker catches the
-/// panic (counted in `shard_restarts`) and, once the plan disarms,
-/// the same service serves answers bit-identical to the local engine.
+/// tickets — typed, naming the shard — because the round catches the
+/// panic where it happens; once the plan disarms, the same service
+/// serves answers bit-identical to the local engine.
 #[test]
 fn shard_panic_mid_batch_is_typed_and_the_worker_restarts() {
     let guard = faultpoint::arm(
@@ -570,10 +566,7 @@ fn shard_panic_mid_batch_is_typed_and_the_worker_restarts() {
         let local = KnnIndex::build(&all, &TreeConfig::default()).unwrap();
         local.query_session(&QueryRequest::knn(&all, 4)).unwrap()
     };
-    let sharded = Arc::new(
-        ShardedIndex::build_with_cluster(&all, &DistConfig::default(), &short_timeout_cluster(4))
-            .expect("build"),
-    );
+    let sharded = Arc::new(ShardedIndex::build(&all, 4, &DistConfig::default()).expect("build"));
     let service = QueryService::new(
         Arc::clone(&sharded) as Arc<dyn NnBackend + Send + Sync>,
         ServiceConfig::default(),
@@ -587,8 +580,7 @@ fn shard_panic_mid_batch_is_typed_and_the_worker_restarts() {
         }
         other => panic!("expected BackendPanicked, got {other:?}"),
     }
-    assert!(sharded.shard_restarts() >= 1, "the worker caught the panic");
-    // disarm (the same worker must serve cleanly), but keep the
+    // disarm (the same shard must serve cleanly), but keep the
     // exclusion: a sibling's plan must not fire on these shards
     drop(guard);
     let _guard = faultpoint::arm(FaultPlan::new());
@@ -606,10 +598,9 @@ fn shard_panic_mid_batch_is_typed_and_the_worker_restarts() {
     service.shutdown();
 }
 
-/// An injected comm timeout inside a shard worker degrades the round to
-/// `PandaError::Comm` — typed on the caller, **never a hang**, no
-/// panic counted (nothing panicked) — and, since rounds share no state,
-/// the very next round is exact again.
+/// An injected comm timeout inside a shard degrades the round to
+/// `PandaError::Comm` — typed on the caller, **never a hang** — and,
+/// since rounds share no state, the very next round is exact again.
 #[test]
 fn shard_comm_timeout_is_typed_never_a_hang() {
     let _guard = faultpoint::arm(
@@ -620,16 +611,13 @@ fn shard_comm_timeout_is_typed_never_a_hang() {
         ),
     );
     let all = uniform::generate(500, 3, 1.0, 11);
-    let sharded =
-        ShardedIndex::build_with_cluster(&all, &DistConfig::default(), &short_timeout_cluster(3))
-            .expect("build");
+    let sharded = ShardedIndex::build(&all, 3, &DistConfig::default()).expect("build");
     let req = QueryRequest::knn(&all, 3);
     let first = sharded.query(&req);
     assert!(
         matches!(first, Err(PandaError::Comm(_))),
         "expected a typed Comm error, got {first:?}"
     );
-    assert_eq!(sharded.shard_restarts(), 0, "a timeout is not a panic");
 
     let second = sharded.query(&req).expect("the next round is clean");
     let local = KnnIndex::build(&all, &TreeConfig::default()).unwrap();
@@ -640,15 +628,12 @@ fn shard_comm_timeout_is_typed_never_a_hang() {
     );
 }
 
-/// A shard that stalls past the receive bound fails its round with a
-/// typed `PandaError::Comm` once the bound passes, not when the shard
-/// wakes. The late reply goes to a round that has given up: the worker
-/// survives the failed send, and the next round — on a fresh reply
-/// channel — is bit-identical to the local engine.
+/// A straggler shard is a slow call, nothing more: a round has no
+/// deadline of its own, so it waits for the stalled shard, fires the
+/// stall once, and returns rows bit-identical to the local engine.
 #[test]
-fn slow_shard_resolves_by_the_deadline_and_its_late_reply_never_leaks() {
-    let bound = Duration::from_millis(200);
-    let stall = Duration::from_millis(600);
+fn slow_shard_is_waited_for_and_its_rows_are_exact() {
+    let stall = Duration::from_millis(200);
     let _guard = faultpoint::arm(
         FaultPlan::new().with(
             FaultSpec::new(points::SHARD_WORKER_QUERY, FaultAction::Delay(stall))
@@ -657,34 +642,23 @@ fn slow_shard_resolves_by_the_deadline_and_its_late_reply_never_leaks() {
         ),
     );
     let all = uniform::generate(500, 3, 1.0, 12);
-    let sharded =
-        ShardedIndex::build_with_cluster(&all, &DistConfig::default(), &short_timeout_cluster(3))
-            .expect("build");
+    let sharded = ShardedIndex::build(&all, 3, &DistConfig::default()).expect("build");
     let req = QueryRequest::knn(&all, 3);
     let stalls = faultpoint::fired(points::SHARD_WORKER_QUERY);
     let t0 = std::time::Instant::now();
-    let first = sharded.query(&req);
+    let got = sharded.query(&req).expect("a straggler is not a failure");
     let waited = t0.elapsed();
     assert!(
-        matches!(first, Err(PandaError::Comm(CommError::Timeout { .. }))),
-        "expected a typed Comm timeout, got {first:?}"
-    );
-    assert!(
-        waited >= bound && waited < 3 * bound,
-        "resolved after {waited:?}, bound {bound:?}"
+        waited >= stall,
+        "returned after {waited:?}, stall {stall:?}"
     );
     assert_eq!(faultpoint::fired(points::SHARD_WORKER_QUERY), stalls + 1);
-
-    // let the stalled worker wake and fail its send to the dead round
-    std::thread::sleep(stall);
-    let second = sharded.query(&req).expect("the next round is clean");
     let local = KnnIndex::build(&all, &TreeConfig::default()).unwrap();
     let expect = local.query_session(&req).unwrap();
     assert_eq!(
-        bit_rows(second.neighbors.iter()),
+        bit_rows(got.neighbors.iter()),
         bit_rows(expect.neighbors.iter())
     );
-    assert_eq!(sharded.shard_restarts(), 0, "a stall is not a panic");
 }
 
 // ----------------------------------------------------------------- store

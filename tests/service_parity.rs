@@ -666,10 +666,5 @@ fn sharded_backend_under_concurrent_clients_matches_single_shard() {
     let stats = service.stats();
     assert_eq!(stats.queries, (CLIENTS * PER_CLIENT) as u64);
     assert!(stats.mean_batch_size() > 1.0, "singles were coalesced");
-    assert_eq!(
-        sharded.inner.shard_restarts(),
-        0,
-        "no worker faults under load"
-    );
     service.shutdown();
 }

@@ -87,9 +87,8 @@ fn one_snapshot_spans_service_shards_comm_and_store() {
     // shard.* (core)
     assert!(snap.counter("shard.rounds").unwrap() >= 1);
     assert_eq!(snap.counter("shard.queries"), Some(12));
-    assert_eq!(snap.counter("shard.restarts"), Some(0));
-    // shard jobs sent (rounds are request/response passes over the
-    // workers' channels, with no collectives)
+    // shard asks made (a round is an owner pass and a remote pass, with
+    // no collectives)
     assert!(snap.counter("shard.messages").unwrap() >= 1);
     // store.* and store.wal.*
     assert_eq!(snap.counter("store.inserted"), Some(16));
@@ -223,8 +222,8 @@ fn faultpoint_trips_surface_in_telemetry() {
 }
 
 /// Acceptance: a sampled trace shows the per-stage breakdown of the
-/// whole pipeline — service stages, shard scatter/gather, the worker,
-/// the leaf kernel, and the store's WAL/compaction stages.
+/// whole pipeline — service stages, shard scatter/gather, each shard's
+/// answer, the leaf kernel, and the store's WAL/compaction stages.
 #[test]
 fn sampled_trace_covers_every_pipeline_stage() {
     let _g = trace_lock();

@@ -6,16 +6,17 @@
 //! these engines, this file stops **compiling** — the regression is
 //! caught at `cargo build`, not as a data race in a serving process.
 //!
-//! Since PR 8 the distributed engine is covered too: `ShardedIndex`
-//! owns its shard workers behind plain channels (no `RefCell`d comm in
+//! The distributed engine is covered too: `ShardedIndex` holds its
+//! shards as plain data (one local index per cell, no comm endpoint in
 //! the handle), so it is `Send + Sync` and fully service-eligible.
 //! Deliberately absent: `LocalTreesBackend` and the raw SPMD entry
 //! points (`query_distributed`). Those are rank-collectives (every rank
 //! must enter in lockstep) borrowing a `&mut Comm`, so they stay
 //! outside the service contract by design.
 //!
-//! One runtime pin rides along: `ShardedIndex` rounds share no state, so
-//! callers on several threads may overlap rounds on one index directly.
+//! Two runtime pins ride along: `ShardedIndex` rounds share no state, so
+//! callers on several threads may overlap rounds on one index directly;
+//! and a one-query round runs on its caller, handing off to no thread.
 
 use panda::prelude::*;
 
@@ -34,8 +35,8 @@ fn local_backends_are_service_eligible() {
     assert_service_eligible::<AnnLikeTree>();
     // the mutable store serves behind the service while writers mutate it
     assert_service_eligible::<MutableIndex>();
-    // the distributed engine: shard workers behind channels (PR 8).
-    // This line is the pin that keeps scale-out serving possible.
+    // the distributed engine: one local index per cell behind the
+    // handle. This line is the pin that keeps scale-out serving possible.
     assert_service_eligible::<ShardedIndex>();
 }
 
@@ -103,5 +104,43 @@ fn sharded_rounds_overlap_across_threads() {
             });
         }
     });
-    assert_eq!(index.shard_restarts(), 0);
+}
+
+/// Voluntary context switches of the calling thread so far, where the
+/// platform reports them.
+fn voluntary_switches() -> Option<u64> {
+    std::fs::read_to_string("/proc/thread-self/status")
+        .ok()?
+        .lines()
+        .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))?
+        .trim()
+        .parse()
+        .ok()
+}
+
+/// A one-query round asks one shard per pass, and a pass that asks one
+/// shard runs on the caller: the caller never blocks waiting on another
+/// thread, so its voluntary context switches stay near zero.
+#[test]
+fn one_query_rounds_hand_off_to_no_thread() {
+    if voluntary_switches().is_none() {
+        eprintln!("skipped: no /proc/thread-self/status");
+        return;
+    }
+    let points = panda::data::uniform::generate(20_000, 3, 1.0, 83);
+    for shards in [1, 2] {
+        let index = ShardedIndex::build(&points, shards, &DistConfig::default()).unwrap();
+        let queries: Vec<PointSet> = (0..200)
+            .map(|round| panda::data::uniform::generate(1, 3, 1.0, 1000 + round))
+            .collect();
+        let before = voluntary_switches().unwrap();
+        for q in &queries {
+            index.query(&QueryRequest::knn(q, 16)).unwrap();
+        }
+        let delta = voluntary_switches().unwrap() - before;
+        assert!(
+            delta <= 10,
+            "{shards} shard(s): {delta} voluntary switches over 200 one-query rounds"
+        );
+    }
 }
